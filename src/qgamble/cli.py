@@ -201,8 +201,10 @@ def _resolve(explicit, cfg: dict, key: str, default, cast):
 
 
 def _validated_params(check_rate, penalty, noise) -> ProtocolParams:
-    if penalty <= 0:
-        raise click.BadParameter("penalty must be positive", param_hint="--penalty")
+    if not (math.isfinite(penalty) and penalty > 0):
+        raise click.BadParameter(
+            f"penalty must be positive and finite, got {penalty}", param_hint="--penalty"
+        )
     if check_rate is None:
         check_rate = analysis.optimal_check_rate(penalty).check_rate
     if not 0.0 < check_rate < 1.0:
@@ -465,7 +467,7 @@ def sweep(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_pat
                 claim=best.claim.value)
     )
     if len(phis) > 1 and phis[0] == 0.0:
-        in_plane = all_thetas_peak_in_plane(result, thetas, phis)
+        in_plane = all_thetas_peak_in_plane(result, params.check_rate, params.penalty)
         rows.append(
             {
                 "section": "check",
@@ -660,7 +662,7 @@ def verification_checks(check_rate: float | None, penalty: float) -> list[dict]:
     checks.append(
         _check_at_most("sweep_max_within_cap", result.best.gain.total, 1.1 * cap)
     )
-    in_plane = all_thetas_peak_in_plane(result, thetas, phis)
+    in_plane = all_thetas_peak_in_plane(result, rate_star, penalty)
     checks.append(
         {
             "section": "check",
@@ -675,18 +677,25 @@ def verification_checks(check_rate: float | None, penalty: float) -> list[dict]:
     return checks
 
 
-def all_thetas_peak_in_plane(result, thetas, phis) -> bool:
-    """True when, for every theta, no off-plane phi beats phi = 0 after
-    maximizing over the claim."""
-    best_at = {}
+def all_thetas_peak_in_plane(result, check_rate: float, penalty: float) -> bool:
+    """True when, for every swept theta, no swept phi beats the better
+    in-plane azimuth after maximizing over the claim.
+
+    The in-plane azimuths are 0 and pi, and azimuth pi is polar angle
+    -theta, so the in-plane best is the closed form at +theta or -theta.
+    The 1e-12 slack absorbs rounding between the sweep's oracle values
+    and the closed form.
+    """
+    best_at: dict[float, float] = {}
     for row in result.rows:
-        key = (row.theta, row.phi)
-        cur = best_at.get(key)
-        if cur is None or row.gain.total > cur:
-            best_at[key] = row.gain.total
-    for theta in thetas:
-        base = best_at[(theta, phis[0])]
-        if any(best_at[(theta, ph)] > base for ph in phis[1:]):
+        best_at[row.theta] = max(best_at.get(row.theta, -math.inf), row.gain.total)
+    for theta, best in best_at.items():
+        in_plane = max(
+            analysis.cheat_gain_exact(polar, check_rate, penalty, claim).total
+            for polar in (theta, -theta)
+            for claim in StateLabel
+        )
+        if best > in_plane + 1e-12:
             return False
     return True
 

@@ -18,6 +18,7 @@ default, which makes normal rounds exactly fair against honest play).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -130,10 +131,12 @@ class ProtocolParams:
     def __post_init__(self):
         if not 0.0 < self.check_rate < 1.0:
             raise ValueError(f"check_rate must lie in (0, 1), got {self.check_rate}")
-        if self.penalty <= 0.0:
-            raise ValueError(f"penalty must be positive, got {self.penalty}")
-        if self.loss_payout <= 0.0 or self.win_payout <= 0.0:
-            raise ValueError("payouts must be positive")
+        if not (math.isfinite(self.penalty) and self.penalty > 0.0):
+            raise ValueError(f"penalty must be positive and finite, got {self.penalty}")
+        for name in ("loss_payout", "win_payout"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError(f"noise must lie in [0, 1), got {self.noise}")
         if not 0.0 <= self.abort_threshold <= 1.0:
@@ -396,15 +399,22 @@ def run_session_fast(
     n_rounds: int,
     rng,
 ) -> SessionStats:
-    """Vectorized session against honest Bob for unentangled preparations.
+    """Count-level session against honest Bob for unentangled preparations.
 
     `members` lists Alice's per-round preparation mixture as
     (weight, state, claim label) triples with weights summing to 1; the
     claim may not depend on Bob's guess (true of every unentangled
-    built-in strategy).  Each round draws the member, the round type,
-    Bob's measurement or guess, and the verification outcome, identically
-    distributed to `run_session` with honest players, then settles and
-    applies the abort rule.
+    built-in strategy).
+
+    Rounds are i.i.d. and the ledger depends on them only through five
+    class counts: normal win, normal loss, check fail, check-pass win and
+    check-pass loss.  So the counts are drawn directly, with the
+    mixture-averaged win and fail probabilities, distributed exactly as
+    the ledger of `run_session` with honest players.  When the abort rule
+    can trigger, only the check rounds are walked (geometric gaps between
+    them, a Bernoulli fail at each) up to the first check that triggers
+    it.  Time is O(check_rate * n_rounds) and memory does not grow with
+    n_rounds.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
@@ -423,52 +433,67 @@ def run_session_fast(
     fail_p = np.array(
         [overlap(lab.verification_basis.minus, s) for _, s, lab in members]
     )
+    # Overlaps can exceed 1 by an ulp.
+    win = min(max(float(weights @ win_p), 0.0), 1.0)
+    fail = min(max(float(weights @ fail_p), 0.0), 1.0)
 
-    if len(members) == 1:
-        idx = np.zeros(n_rounds, dtype=np.intp)
+    if params.abort_threshold >= 1.0:
+        kept, aborted = n_rounds, False
+        checks = int(rng.binomial(n_rounds, params.check_rate))
+        fails = int(rng.binomial(checks, fail))
     else:
-        cum = np.cumsum(weights)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(n_rounds), side="right")
-    is_check = rng.random(n_rounds) < params.check_rate
-    norm_win = rng.random(n_rounds) < win_p[idx]
-    check_win = rng.random(n_rounds) < 0.5
-    check_fail = rng.random(n_rounds) < fail_p[idx]
-
-    settled = np.where(
-        is_check & check_fail,
-        -params.penalty,
-        np.where(
-            np.where(is_check, check_win, norm_win),
-            -params.win_payout,
-            params.loss_payout,
-        ),
-    )
-
-    kept = n_rounds
-    aborted = False
-    cum_checks = np.cumsum(is_check)
-    cum_fails = np.cumsum(is_check & check_fail)
-    trigger = (cum_checks >= MIN_CHECKS_FOR_ABORT) & (
-        cum_fails > params.abort_threshold * cum_checks
-    )
-    if trigger.any():
-        kept = int(np.argmax(trigger)) + 1
-        aborted = True
-
-    s = slice(0, kept)
-    checks = int(cum_checks[kept - 1])
-    fails = int(cum_fails[kept - 1])
-    wins = int(np.count_nonzero(~is_check[s] & norm_win[s]))
+        kept, checks, fails, aborted = _walk_checks(n_rounds, fail, params, rng)
+    passes = checks - fails
+    pass_wins = int(rng.binomial(passes, 0.5))
+    wins = int(rng.binomial(kept - checks, win))
+    losses = kept - checks - wins + passes - pass_wins
+    bob_paid = wins + pass_wins
     return SessionStats(
         rounds=kept,
-        alice_gain_total=float(np.sum(settled[s])),
-        transfer_sq_total=float(np.sum(settled[s] * settled[s])),
+        alice_gain_total=params.loss_payout * losses
+        - params.win_payout * bob_paid
+        - params.penalty * fails,
+        transfer_sq_total=params.loss_payout**2 * losses
+        + params.win_payout**2 * bob_paid
+        + params.penalty**2 * fails,
         check_rounds=checks,
         check_fails=fails,
         bob_wins=wins,
         aborted=aborted,
     )
+
+
+#: Check rounds drawn per step of `_walk_checks`.
+_CHECK_CHUNK = 4096
+
+
+def _walk_checks(
+    n_rounds: int, fail: float, params: ProtocolParams, rng
+) -> tuple[int, int, int, bool]:
+    """Draw the check-round subsequence up to the abort or the last round.
+
+    Returns (rounds kept, checks, fails, aborted).  Only check rounds can
+    trigger the abort rule, so the session stops at the first check where
+    it holds; that round is the last one kept.
+    """
+    pos = checks = fails = 0
+    while True:
+        size = min(_CHECK_CHUNK, n_rounds - pos)
+        at = pos + np.cumsum(rng.geometric(params.check_rate, size))
+        cum_fails = fails + np.cumsum(rng.random(size) < fail)
+        cum_checks = np.arange(checks + 1, checks + size + 1)
+        inside = int(np.searchsorted(at, n_rounds, side="right"))
+        trigger = (cum_checks[:inside] >= MIN_CHECKS_FOR_ABORT) & (
+            cum_fails[:inside] > params.abort_threshold * cum_checks[:inside]
+        )
+        if trigger.any():
+            i = int(np.argmax(trigger))
+            return int(at[i]), int(cum_checks[i]), int(cum_fails[i]), True
+        if inside:
+            last = inside - 1
+            pos, checks, fails = int(at[last]), int(cum_checks[last]), int(cum_fails[last])
+        if inside < size or pos == n_rounds:
+            return n_rounds, checks, fails, False
 
 
 def session_rng(master_seed: int, session_index: int = 0) -> np.random.Generator:

@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from qgamble import analysis
-from qgamble.cli import ResultDocument, main, serialize
+from qgamble.cli import ResultDocument, all_thetas_peak_in_plane, main, serialize
+from qgamble.protocol import StateLabel
 
 runner = CliRunner()
 
@@ -112,6 +113,16 @@ class TestCheatCommand:
         assert result.exit_code == 2
         assert "claim" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [("-r", "0.1", "-R", "nan"), ("-R", "nan"), ("-R", "inf"), ("-r", "0.1", "-R", "inf")],
+    )
+    def test_non_finite_penalty_names_penalty(self, args):
+        result = run_cli("cheat", "--theta", "0.1", "--rounds", "1000", *args)
+        assert result.exit_code == 2
+        assert "--penalty" in result.output
+        assert "--check-rate" not in result.output
+
 
 class TestSweepCommand:
     def test_grid_and_cap(self):
@@ -125,6 +136,34 @@ class TestSweepCommand:
         checks = {r["name"] for r in doc["rows"] if r["section"] == "check"}
         assert "max_in_zx_plane" in checks
         assert "max_gain_within_cap" in checks
+
+    def test_in_plane_check_uses_better_in_plane_azimuth(self):
+        # Here azimuth pi (polar -theta) often beats azimuth 0, so off-plane
+        # azimuths between them beat azimuth 0 too; the check must compare
+        # against the better of the two in-plane azimuths.
+        result = run_cli("sweep", "-r", "0.02", "-R", "100", "--theta-max", "1.5")
+        assert result.exit_code == 0, result.output
+        rows = {r["name"]: r for r in json.loads(result.output)["rows"]
+                if r["section"] == "check"}
+        assert rows["max_in_zx_plane"]["passed"] is True
+
+    def test_in_plane_check_flags_off_plane_peak(self):
+        rate, penalty = 0.02, 100.0
+        result = analysis.sweep_cheat_gain(rate, penalty, [0.3, 1.2], [0.0, 1.0])
+        assert all_thetas_peak_in_plane(result, rate, penalty)
+        # Lift the last (off-plane) row 1e-9 above the best in-plane gain at
+        # its theta, found over azimuths 0 and pi (polar +theta and -theta).
+        row = result.rows[-1]
+        in_plane = max(
+            analysis.cheat_gain_exact(polar, rate, penalty, claim).total
+            for polar in (row.theta, -row.theta)
+            for claim in StateLabel
+        )
+        raised = row._replace(gain=analysis.GainBreakdown.from_terms(
+            row.gain.normal_term + in_plane + 1e-9 - row.gain.total,
+            row.gain.detect_term, row.gain.pass_term))
+        tampered = result._replace(rows=result.rows[:-1] + (raised,))
+        assert not all_thetas_peak_in_plane(tampered, rate, penalty)
 
     def test_explicit_rate_skips_cap_check(self):
         result = run_cli(

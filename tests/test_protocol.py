@@ -1,11 +1,17 @@
 """Round/session engine tests: settlement, noise, abort, and the fast path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qgamble.analysis import monte_carlo_gain, oracle_expected_gain
+from qgamble.analysis import (
+    monte_carlo_gain,
+    optimal_check_rate,
+    oracle_expected_gain,
+    oracle_transcript_distribution,
+)
 from qgamble.protocol import (
     DEFAULT_LOSS_PAYOUT,
     MIN_CHECKS_FOR_ABORT,
@@ -26,16 +32,19 @@ from qgamble.qubits import (
     BASIS_Z,
     KET_0,
     KET_MINUS,
+    Ensemble,
     Outcome,
     Subsystem,
     apply_pauli,
     overlap,
+    state_from_bloch,
 )
 from qgamble.strategies import (
     AliceStrategy,
     CheatPoint,
     ClaimPolicy,
     Preparation,
+    ensemble_cheat,
     fixed_state_cheat,
     honest_alice,
     honest_bob,
@@ -63,6 +72,12 @@ class TestParams:
             dict(noise=1.0),
             dict(abort_threshold=1.5),
             dict(win_payout=0.0),
+            dict(penalty=math.nan),
+            dict(penalty=math.inf),
+            dict(loss_payout=math.nan),
+            dict(loss_payout=math.inf),
+            dict(win_payout=math.nan),
+            dict(win_payout=math.inf),
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -380,6 +395,141 @@ class TestFastSession:
             OPTIMAL_GUESS_PROB * (1 - OPTIMAL_GUESS_PROB) / stats.normal_rounds
         )
         assert abs(stats.normal_win_rate - OPTIMAL_GUESS_PROB) < 5.0 * sigma
+
+
+#: Upper 1e-4 quantile of the chi-square distribution with 4 degrees of
+#: freedom (five outcome classes).
+CHI2_4DOF_1E4 = 23.5127
+
+_CHI2_CASES = (
+    ("zero_0.3", fixed_state_cheat(CheatPoint(0.3, 0.0, ClaimPolicy.ZERO)), 0.0),
+    ("plus_1.0", fixed_state_cheat(CheatPoint(1.0, 0.0, ClaimPolicy.PLUS)), 0.0),
+    ("zero_0.6_offplane", fixed_state_cheat(CheatPoint(0.6, 1.0, ClaimPolicy.ZERO)), 0.0),
+    (
+        "noisy_ensemble",
+        ensemble_cheat(
+            Ensemble(((0.35, state_from_bloch(0.4, 0.0)), (0.65, state_from_bloch(1.2, 0.3)))),
+            [StateLabel.ZERO, StateLabel.PLUS],
+        ),
+        0.1,
+    ),
+)
+
+
+def class_counts(stats: SessionStats, params: ProtocolParams) -> list[int]:
+    """(normal win, normal loss, check fail, check-pass win, check-pass
+    loss) counts, the last two recovered from the ledger total."""
+    win, loss = params.win_payout, params.loss_payout
+    normal_loss = stats.normal_rounds - stats.bob_wins
+    passes = stats.check_rounds - stats.check_fails
+    pass_loss = (
+        stats.alice_gain_total - loss * normal_loss + win * stats.bob_wins
+        + win * passes + params.penalty * stats.check_fails
+    ) / (loss + win)
+    assert abs(pass_loss - round(pass_loss)) < 1e-6
+    pass_loss = round(pass_loss)
+    return [stats.bob_wins, normal_loss, stats.check_fails, passes - pass_loss, pass_loss]
+
+
+def class_masses(alice, params: ProtocolParams) -> list[float]:
+    """The same five classes' probabilities from the enumeration oracle."""
+    masses = [0.0] * 5
+    for (kind, guess, claim, result), prob in oracle_transcript_distribution(
+        alice, params
+    ).items():
+        if kind is RoundType.NORMAL:
+            masses[0 if guess == claim else 1] += prob
+        elif result is CheckResult.FAIL:
+            masses[2] += prob
+        else:
+            masses[3 if guess == claim else 4] += prob
+    return masses
+
+
+class TestCountSampler:
+    """run_session_fast draws class counts; these tests check it against
+    the oracle's class masses and against the reference engine."""
+
+    @pytest.mark.parametrize("abort_threshold", [1.0, 0.99])
+    @pytest.mark.parametrize(
+        "index", range(len(_CHI2_CASES)), ids=[c[0] for c in _CHI2_CASES]
+    )
+    def test_class_counts_fit_oracle(self, index, abort_threshold):
+        # abort_threshold 1.0 draws the counts directly; 0.99 walks the
+        # check rounds, where an abort is out of reach at these fail rates.
+        _, alice, noise = _CHI2_CASES[index]
+        params = default_params(
+            check_rate=0.2, noise=noise, abort_threshold=abort_threshold
+        )
+        n = 200_000
+        stats = run_session_fast(
+            alice.branch_model().members, params, n,
+            session_rng(48, 2 * index + (abort_threshold < 1.0)),
+        )
+        assert stats.rounds == n and not stats.aborted
+        observed = class_counts(stats, params)
+        expected = [n * m for m in class_masses(alice, params)]
+        assert sum(expected) == pytest.approx(n, rel=1e-12)
+        assert min(expected) > 100.0
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        assert chi2 < CHI2_4DOF_1E4, (observed, expected)
+
+    def test_abort_sits_at_first_trigger(self):
+        # Per-check fail rate 0.06 against a 0.05 threshold: sessions abort
+        # at widely spread checks, some long after MIN_CHECKS_FOR_ABORT.
+        params = default_params(check_rate=0.5, noise=0.09, abort_threshold=0.05)
+        members = honest_alice().branch_model().members
+        thr = params.abort_threshold
+        late = 0
+        for i in range(400):
+            stats = run_session_fast(members, params, 4_000, session_rng(49, i))
+            if not stats.aborted:
+                assert stats.rounds == 4_000
+                continue
+            checks, fails = stats.check_rounds, stats.check_fails
+            assert checks >= MIN_CHECKS_FOR_ABORT and fails > thr * checks
+            # One check earlier the rule did not hold yet.
+            assert checks == MIN_CHECKS_FOR_ABORT or fails - 1 <= thr * (checks - 1)
+            late += checks > MIN_CHECKS_FOR_ABORT
+        assert late >= 50
+
+    def test_kept_rounds_match_engine(self):
+        params = default_params(check_rate=0.5, noise=0.1, abort_threshold=0.05)
+        n = 1_000
+        fast = np.array([
+            run_session_fast(
+                honest_alice().branch_model().members, params, n, session_rng(51, i)
+            ).rounds
+            for i in range(4_000)
+        ])
+        slow = np.array([
+            run_session(honest_alice(), honest_bob(0.5), params, n, session_rng(52, i)).rounds
+            for i in range(150)
+        ])
+        assert 0 < np.count_nonzero(fast < n) < len(fast)
+        se = math.sqrt(fast.var(ddof=1) / len(fast) + slow.var(ddof=1) / len(slow))
+        assert abs(fast.mean() - slow.mean()) <= 4.0 * se
+
+    def test_memory_does_not_grow_with_rounds(self):
+        # Abort rule on, default rate at R = 1e4: the check rounds are
+        # walked to the end, about 1.4e7 of them at 1e9 rounds.
+        rate = optimal_check_rate(10_000.0).check_rate
+        params = ProtocolParams(rate, 10_000.0)
+        members = honest_alice().branch_model().members
+        # Warm up first, so one-off set-up inside numpy is not counted.
+        run_session_fast(members, params, 1_000, session_rng(53))
+        bound = 2**20
+        for n in (10**6, 10**9):
+            tracemalloc.start()
+            try:
+                stats = run_session_fast(members, params, n, session_rng(53))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n, peak)
+            assert stats.rounds == n and not stats.aborted
+            sigma = math.sqrt(n * rate * (1.0 - rate))
+            assert abs(stats.check_rounds - n * rate) < 5.0 * sigma
 
 
 class TestStats:
