@@ -7,6 +7,7 @@ stated time budgets.
 
 import math
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from qgamble.analysis import (
     cheat_gain_exact,
     cheat_gain_quadratic_bound,
     golden_section_max,
-    monte_carlo_gain,
     optimal_check_rate,
     oracle_expected_gain,
+    oracle_round_branches,
     oracle_transcript_distribution,
     quadratic_bound_optimum,
     sweep_cheat_gain,
     unmeasured_posterior,
 )
 from qgamble.protocol import (
+    CheckResult,
     ProtocolParams,
     StateLabel,
     run_session,
@@ -110,13 +112,57 @@ def test_2_honest_play_exact_expectations():
     )
 
 
+def session_total_z(alice, params: ProtocolParams, rounds: int, total: float) -> float:
+    """Exact two-sided tail of a session's total transfer, as a normal z.
+
+    With the abort rule off the fail count is Binomial(rounds, q), and given
+    k fails the other rounds are i.i.d. with bounded transfers, so their sum
+    is normal to high accuracy.  Next to a legal state a session expects
+    under one fail, where a z from the sample (or even the exact) standard
+    error is not normal: one fail moves the mean by many sigma.
+    """
+    branches = oracle_round_branches(alice, params)
+    fail = [b for b in branches if b.check_result is CheckResult.FAIL]
+    rest = [b for b in branches if b.check_result is not CheckResult.FAIL]
+    assert all(b.transfer == -params.penalty for b in fail)
+    q = math.fsum(b.prob for b in fail)
+    keep = math.fsum(b.prob for b in rest)
+    mean = math.fsum(b.prob * b.transfer for b in rest) / keep
+    var = max(0.0, math.fsum(b.prob * b.transfer**2 for b in rest) / keep - mean**2)
+    half = 12.0 * math.sqrt(rounds * q * keep) + 40.0
+    upper, lower = [], []
+    for k in range(max(0, int(rounds * q - half)), min(rounds, int(rounds * q + half)) + 1):
+        if q == 0.0:
+            pk = 1.0 if k == 0 else 0.0
+        else:
+            pk = math.exp(
+                math.lgamma(rounds + 1) - math.lgamma(k + 1) - math.lgamma(rounds - k + 1)
+                + k * math.log(q) + (rounds - k) * math.log1p(-q)
+            )
+        # the non-fail rounds must sum to total + penalty * k
+        gap = (total + params.penalty * k - (rounds - k) * mean) / math.sqrt(
+            2.0 * (rounds - k) * var
+        )
+        upper.append(pk * 0.5 * math.erfc(gap))
+        lower.append(pk * 0.5 * math.erfc(-gap))
+    p_value = min(1.0, 2.0 * min(math.fsum(upper), math.fsum(lower)))
+    if p_value <= 0.0:
+        return math.inf
+    return 0.0 if p_value >= 1.0 else NormalDist().inv_cdf(1.0 - p_value / 2.0)
+
+
 def test_3_closed_form_oracle_monte_carlo_agreement():
+    # The oracle gives per-round expectations for a fixed number of rounds;
+    # an aborted session stops right after a fail, so the abort rule is off
+    # here (test 11 covers it).  Each session's total is held to 4 sigma
+    # through its exact tail; over the 400 sessions a correct sampler fails
+    # about 2.5% of master seeds (measured: 11 of 300).
     t0 = time.perf_counter()
     worst_eq = 0.0
     worst_z = 0.0
     idx = 0
     for rate, penalty in ((0.01, 1_000.0), (0.0139385, 10_000.0)):
-        params = ProtocolParams(rate, penalty)
+        params = ProtocolParams(rate, penalty, abort_threshold=1.0)
         for i in range(100):
             theta = math.pi / 2.0 * i / 99.0
             for claim in StateLabel:
@@ -130,8 +176,9 @@ def test_3_closed_form_oracle_monte_carlo_agreement():
                     strat.branch_model().members, params, 1_000_000,
                     session_rng(2026, idx),
                 )
-                mc = monte_carlo_gain(stats)
-                worst_z = max(worst_z, abs(mc.mean - oracle.total) / mc.std_error)
+                assert stats.rounds == 1_000_000 and not stats.aborted
+                z = session_total_z(strat, params, stats.rounds, stats.alice_gain_total)
+                worst_z = max(worst_z, z)
                 idx += 1
     elapsed = time.perf_counter() - t0
     ok = worst_eq <= 1e-12 and worst_z <= 4.0 and elapsed < 120.0
