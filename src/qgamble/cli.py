@@ -466,19 +466,18 @@ def sweep(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_pat
         _metric("max_gain", best.gain.total, theta=best.theta, phi=best.phi,
                 claim=best.claim.value)
     )
-    if len(phis) > 1 and phis[0] == 0.0:
-        in_plane = all_thetas_peak_in_plane(result, params.check_rate, params.penalty)
-        rows.append(
-            {
-                "section": "check",
-                "name": "max_in_zx_plane",
-                "value": in_plane,
-                "expected": True,
-                "tolerance": 0.0,
-                "comparison": "equals",
-                "passed": in_plane,
-            }
-        )
+    in_plane = all_thetas_peak_in_plane(result, params.check_rate, params.penalty)
+    rows.append(
+        {
+            "section": "check",
+            "name": "max_in_zx_plane",
+            "value": in_plane,
+            "expected": True,
+            "tolerance": 0.0,
+            "comparison": "equals",
+            "passed": in_plane,
+        }
+    )
     if rate_was_default:
         cap = analysis.optimal_check_rate(params.penalty).gain_cap
         rows.append(_check_at_most("max_gain_within_cap", best.gain.total, 1.1 * cap))

@@ -5,6 +5,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from qgamble.analysis import oracle_transcript_distribution
+from qgamble.protocol import CheckResult, ProtocolParams, RoundType, SessionStats
 from qgamble.qubits import MeasurementBasis, PureQubit, TwoQubitPure, orthogonal_state
 
 _component = st.floats(
@@ -68,3 +70,60 @@ def joint_probability(
         for j, bj in enumerate((b_state.amp0, b_state.amp1)):
             amp += ai.conjugate() * bj.conjugate() * state.amp(i, j)
     return abs(amp) ** 2
+
+
+def class_counts(stats: SessionStats, params: ProtocolParams) -> list[int]:
+    """(normal win, normal loss, check fail, check-pass win, check-pass
+    loss) counts, the last two recovered from the ledger total."""
+    win, loss = params.win_payout, params.loss_payout
+    normal_loss = stats.normal_rounds - stats.bob_wins
+    passes = stats.check_rounds - stats.check_fails
+    pass_loss = (
+        stats.alice_gain_total - loss * normal_loss + win * stats.bob_wins
+        + win * passes + params.penalty * stats.check_fails
+    ) / (loss + win)
+    assert abs(pass_loss - round(pass_loss)) < 1e-6
+    pass_loss = round(pass_loss)
+    counts = [stats.bob_wins, normal_loss, stats.check_fails, passes - pass_loss, pass_loss]
+    assert min(counts) >= 0, counts
+    return counts
+
+
+def class_masses(alice, params: ProtocolParams) -> list[float]:
+    """The same five classes' probabilities from the enumeration oracle."""
+    masses = [0.0] * 5
+    for (kind, guess, claim, result), prob in oracle_transcript_distribution(
+        alice, params
+    ).items():
+        if kind is RoundType.NORMAL:
+            masses[0 if guess == claim else 1] += prob
+        elif result is CheckResult.FAIL:
+            masses[2] += prob
+        else:
+            masses[3 if guess == claim else 4] += prob
+    return masses
+
+
+def kept_ledger_chi2(sessions) -> float:
+    """Pooled fit of where sessions stopped to what they kept.
+
+    `sessions` holds (class_counts, class_masses) pairs.  The abort rule
+    reads only the check rounds and their results, so given a session's
+    normal rounds and passed checks, its normal wins and its pass wins are
+    binomial with the oracle's conditional win masses, whether or not it
+    aborted.  Returns z_normal**2 + z_pass**2 of the pooled win counts,
+    chi-square with 2 degrees of freedom for an exact sampler.
+    """
+    dev = [0.0, 0.0]
+    var = [0.0, 0.0]
+    for counts, masses in sessions:
+        for j, (won, lost) in enumerate(((0, 1), (3, 4))):
+            n = counts[won] + counts[lost]
+            if n == 0:
+                continue
+            p = masses[won] / (masses[won] + masses[lost])
+            dev[j] += counts[won] - n * p
+            var[j] += n * p * (1.0 - p)
+    for d, v in zip(dev, var):
+        assert v > 0.0 or d == 0.0, (dev, var)
+    return math.fsum(d * d / v for d, v in zip(dev, var) if v > 0.0)

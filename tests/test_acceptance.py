@@ -11,6 +11,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from conftest import class_counts, class_masses, kept_ledger_chi2
 
 from qgamble import analysis
 from qgamble.analysis import (
@@ -153,16 +154,20 @@ def session_total_z(alice, params: ProtocolParams, rounds: int, total: float) ->
 
 def test_3_closed_form_oracle_monte_carlo_agreement():
     # The oracle gives per-round expectations for a fixed number of rounds;
-    # an aborted session stops right after a fail, so the abort rule is off
-    # here (test 11 covers it).  Each session's total is held to 4 sigma
+    # an aborted session stops right after a fail, so the mean comparison
+    # runs with the abort rule off.  Each session's total is held to 4 sigma
     # through its exact tail; over the 400 sessions a correct sampler fails
-    # about 2.5% of master seeds (measured: 11 of 300).
+    # about 2.5% of master seeds (measured: 11 of 300).  A second session
+    # per cell runs with the abort rule on; the ledgers of those that abort
+    # are fitted, given where they stopped, to the oracle's class masses.
     t0 = time.perf_counter()
     worst_eq = 0.0
     worst_z = 0.0
+    aborted = []
     idx = 0
     for rate, penalty in ((0.01, 1_000.0), (0.0139385, 10_000.0)):
         params = ProtocolParams(rate, penalty, abort_threshold=1.0)
+        params_abort = ProtocolParams(rate, penalty)
         for i in range(100):
             theta = math.pi / 2.0 * i / 99.0
             for claim in StateLabel:
@@ -172,20 +177,35 @@ def test_3_closed_form_oracle_monte_carlo_agreement():
                 oracle = oracle_expected_gain(strat, params)
                 closed = cheat_gain_exact(theta, rate, penalty, claim)
                 worst_eq = max(worst_eq, abs(closed.total - oracle.total))
+                members = strat.branch_model().members
                 stats = run_session_fast(
-                    strat.branch_model().members, params, 1_000_000,
-                    session_rng(2026, idx),
+                    members, params, 1_000_000, session_rng(2026, idx)
                 )
                 assert stats.rounds == 1_000_000 and not stats.aborted
                 z = session_total_z(strat, params, stats.rounds, stats.alice_gain_total)
                 worst_z = max(worst_z, z)
+                stopped = run_session_fast(
+                    members, params_abort, 1_000_000, session_rng(2026, 400 + idx)
+                )
+                if stopped.aborted:
+                    aborted.append((
+                        class_counts(stopped, params_abort),
+                        class_masses(strat, params_abort),
+                    ))
                 idx += 1
+    # Two degrees of freedom: the 4-sigma two-sided tail, -2 ln p.
+    ledger_chi2 = kept_ledger_chi2(aborted)
+    ledger_gate = -2.0 * math.log(math.erfc(4.0 / math.sqrt(2.0)))
     elapsed = time.perf_counter() - t0
-    ok = worst_eq <= 1e-12 and worst_z <= 4.0 and elapsed < 120.0
+    ok = (
+        worst_eq <= 1e-12 and worst_z <= 4.0 and len(aborted) >= 100
+        and ledger_chi2 <= ledger_gate and elapsed < 120.0
+    )
     report(
         "closed form = oracle = Monte Carlo across the cheat grid",
         ok,
-        f"max|closed-oracle|={worst_eq:.2e} max_z={worst_z:.2f} elapsed={elapsed:.1f}s",
+        f"max|closed-oracle|={worst_eq:.2e} max_z={worst_z:.2f} "
+        f"aborted={len(aborted)} ledger_chi2={ledger_chi2:.2f} elapsed={elapsed:.1f}s",
     )
 
 

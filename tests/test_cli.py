@@ -147,6 +147,14 @@ class TestSweepCommand:
                 if r["section"] == "check"}
         assert rows["max_in_zx_plane"]["passed"] is True
 
+    def test_in_plane_check_runs_without_azimuth_zero(self):
+        result = run_cli("sweep", "-R", "100", "--theta-points", "10",
+                         "--phi-grid", "0.5,1.0")
+        assert result.exit_code == 0, result.output
+        rows = {r["name"]: r for r in json.loads(result.output)["rows"]
+                if r["section"] == "check"}
+        assert rows["max_in_zx_plane"]["passed"] is True
+
     def test_in_plane_check_flags_off_plane_peak(self):
         rate, penalty = 0.02, 100.0
         result = analysis.sweep_cheat_gain(rate, penalty, [0.3, 1.2], [0.0, 1.0])

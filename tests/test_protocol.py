@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import class_counts, class_masses, kept_ledger_chi2
 
 from qgamble.analysis import (
     monte_carlo_gain,
     optimal_check_rate,
     oracle_expected_gain,
-    oracle_transcript_distribution,
 )
 from qgamble.protocol import (
     DEFAULT_LOSS_PAYOUT,
@@ -397,9 +397,10 @@ class TestFastSession:
         assert abs(stats.normal_win_rate - OPTIMAL_GUESS_PROB) < 5.0 * sigma
 
 
-#: Upper 1e-4 quantile of the chi-square distribution with 4 degrees of
-#: freedom (five outcome classes).
+#: Upper 1e-4 quantiles of the chi-square distribution with 4 degrees of
+#: freedom (five outcome classes) and with 2 (-2 ln 1e-4).
 CHI2_4DOF_1E4 = 23.5127
+CHI2_2DOF_1E4 = 18.4207
 
 _CHI2_CASES = (
     ("zero_0.3", fixed_state_cheat(CheatPoint(0.3, 0.0, ClaimPolicy.ZERO)), 0.0),
@@ -414,36 +415,6 @@ _CHI2_CASES = (
         0.1,
     ),
 )
-
-
-def class_counts(stats: SessionStats, params: ProtocolParams) -> list[int]:
-    """(normal win, normal loss, check fail, check-pass win, check-pass
-    loss) counts, the last two recovered from the ledger total."""
-    win, loss = params.win_payout, params.loss_payout
-    normal_loss = stats.normal_rounds - stats.bob_wins
-    passes = stats.check_rounds - stats.check_fails
-    pass_loss = (
-        stats.alice_gain_total - loss * normal_loss + win * stats.bob_wins
-        + win * passes + params.penalty * stats.check_fails
-    ) / (loss + win)
-    assert abs(pass_loss - round(pass_loss)) < 1e-6
-    pass_loss = round(pass_loss)
-    return [stats.bob_wins, normal_loss, stats.check_fails, passes - pass_loss, pass_loss]
-
-
-def class_masses(alice, params: ProtocolParams) -> list[float]:
-    """The same five classes' probabilities from the enumeration oracle."""
-    masses = [0.0] * 5
-    for (kind, guess, claim, result), prob in oracle_transcript_distribution(
-        alice, params
-    ).items():
-        if kind is RoundType.NORMAL:
-            masses[0 if guess == claim else 1] += prob
-        elif result is CheckResult.FAIL:
-            masses[2] += prob
-        else:
-            masses[3 if guess == claim else 4] += prob
-    return masses
 
 
 class TestCountSampler:
@@ -492,6 +463,24 @@ class TestCountSampler:
             assert checks == MIN_CHECKS_FOR_ABORT or fails - 1 <= thr * (checks - 1)
             late += checks > MIN_CHECKS_FOR_ABORT
         assert late >= 50
+
+    @pytest.mark.parametrize(
+        "index", range(1, len(_CHI2_CASES)), ids=[c[0] for c in _CHI2_CASES[1:]]
+    )
+    def test_aborted_ledger_fits_oracle(self, index):
+        # Per-check fail rates 0.08-0.11 against the 0.05 threshold: every
+        # session aborts, and its classes other than the fails are drawn
+        # over the kept rounds only.
+        _, alice, noise = _CHI2_CASES[index]
+        params = default_params(check_rate=0.2, noise=noise)
+        members = alice.branch_model().members
+        masses = class_masses(alice, params)
+        sessions = []
+        for i in range(300):
+            stats = run_session_fast(members, params, 100_000, session_rng(54 + index, i))
+            assert stats.aborted and stats.rounds < 100_000
+            sessions.append((class_counts(stats, params), masses))
+        assert kept_ledger_chi2(sessions) < CHI2_2DOF_1E4
 
     def test_kept_rounds_match_engine(self):
         params = default_params(check_rate=0.5, noise=0.1, abort_threshold=0.05)
