@@ -26,6 +26,7 @@ from .protocol import (
     RoundType,
     SessionStats,
     StateLabel,
+    _settle,
 )
 from .qubits import (
     BASIS_DISCRIM,
@@ -64,6 +65,7 @@ __all__ = [
     "oracle_transcript_distribution",
     "monte_carlo_gain",
     "sweep_cheat_gain",
+    "all_thetas_peak_in_plane",
     "entangled_policy_gains",
 ]
 
@@ -283,10 +285,6 @@ class RoundBranch(NamedTuple):
     alice_claim: StateLabel
     check_result: CheckResult
     transfer: float
-
-
-def _settle(guess: StateLabel, claim: StateLabel, params: ProtocolParams) -> float:
-    return -params.win_payout if guess == claim else params.loss_payout
 
 
 def _noise_variants_pure(state: PureQubit, eps: float):
@@ -509,6 +507,29 @@ def sweep_cheat_gain(
                 if best is None or row.gain.total > best.gain.total:
                     best = row
     return SweepResult(tuple(rows), best)
+
+
+def all_thetas_peak_in_plane(result: SweepResult, check_rate: float, penalty: float) -> bool:
+    """True when, for every swept theta, no swept phi beats the better
+    in-plane azimuth after maximizing over the claim.
+
+    The in-plane azimuths are 0 and pi, and azimuth pi is polar angle
+    -theta, so the in-plane best is the closed form at +theta or -theta.
+    The 1e-12 slack absorbs rounding between the sweep's oracle values
+    and the closed form.
+    """
+    best_at: dict[float, float] = {}
+    for row in result.rows:
+        best_at[row.theta] = max(best_at.get(row.theta, -math.inf), row.gain.total)
+    for theta, best in best_at.items():
+        in_plane = max(
+            cheat_gain_exact(polar, check_rate, penalty, claim).total
+            for polar in (theta, -theta)
+            for claim in StateLabel
+        )
+        if best > in_plane + 1e-12:
+            return False
+    return True
 
 
 def _sweep_strategy(state: PureQubit, claim: StateLabel) -> AliceStrategy:

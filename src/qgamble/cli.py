@@ -6,10 +6,14 @@ preparations against the security cap), ``entangle`` (entanglement-attack
 policies vs the honest baseline), ``verify`` (the full closed-form /
 oracle / optimizer cross-check suite).
 
-Results are a single deterministic document (JSON or CSV) echoing the
-full configuration, so a result file alone reproduces the run.  Exit code
-0 means every embedded check passed, 1 means some check failed, 2 means
-the configuration was invalid.
+Every option lives in one table, `_OPTIONS`, and each command lists the
+keys it reads.  A value comes from its flag, else from the ``--config``
+file, else from the table's default.  Results are a single deterministic
+document (JSON or CSV) whose ``config`` holds the resolved values under
+their config-file keys, so feeding a result's ``config`` back through
+``--config`` replays the run byte for byte.  Exit code 0 means every
+embedded check passed, 1 means some check failed, 2 means the
+configuration was invalid.
 """
 
 from __future__ import annotations
@@ -29,7 +33,16 @@ from .protocol import (
     run_session_fast,
     session_rng,
 )
-from .qubits import BASIS_X, BASIS_Z, Subsystem, project_subsystem
+from .qubits import (
+    BASIS_X,
+    BASIS_Z,
+    KET_0,
+    KET_PLUS,
+    Ensemble,
+    Subsystem,
+    ensemble_average_bloch,
+    project_subsystem,
+)
 from .strategies import (
     CheatPoint,
     ClaimPolicy,
@@ -82,7 +95,10 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def serialize(doc: ResultDocument, fmt: str) -> bytes:
@@ -111,7 +127,7 @@ def serialize(doc: ResultDocument, fmt: str) -> bytes:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _emit(doc: ResultDocument, fmt: str, output: str | None) -> None:
+def _emit(doc: ResultDocument, fmt: str, output: str) -> None:
     data = serialize(doc, fmt)
     if output:
         Path(output).write_bytes(data)
@@ -127,43 +143,111 @@ def _metric(name, value, std_error=None, **extra) -> dict:
     return row
 
 
-def _check_close(name, value, expected, tolerance, **extra) -> dict:
+_COMPARISONS = {
+    "within": lambda value, expected, tolerance: abs(value - expected) <= tolerance,
+    "at_most": lambda value, expected, tolerance: value <= expected,
+    "at_least": lambda value, expected, tolerance: value >= expected,
+    "equals": lambda value, expected, tolerance: value == expected,
+}
+
+
+def _check(name, value, expected, comparison, tolerance=0.0) -> dict:
     return {
         "section": "check",
         "name": name,
         "value": value,
         "expected": expected,
         "tolerance": tolerance,
-        "comparison": "within",
-        "passed": abs(value - expected) <= tolerance,
-        **extra,
+        "comparison": comparison,
+        "passed": _COMPARISONS[comparison](value, expected, tolerance),
     }
 
 
-def _check_at_most(name, value, bound, **extra) -> dict:
-    return {
-        "section": "check",
-        "name": name,
-        "value": value,
-        "expected": bound,
-        "tolerance": 0.0,
-        "comparison": "at_most",
-        "passed": value <= bound,
-        **extra,
-    }
+# --------------------------------------------------------------------------
+# The option table.
 
 
-def _check_at_least(name, value, bound, **extra) -> dict:
-    return {
-        "section": "check",
-        "name": name,
-        "value": value,
-        "expected": bound,
-        "tolerance": 0.0,
-        "comparison": "at_least",
-        "passed": value >= bound,
-        **extra,
-    }
+class _FloatList(click.ParamType):
+    """Comma-separated numbers, normalized to 17 significant digits so the
+    echoed value parses back to the same floats."""
+
+    name = "floats"
+
+    def convert(self, value, param, ctx):
+        try:
+            floats = [float(x) for x in str(value).split(",") if x.strip()]
+        except ValueError:
+            self.fail(f"could not parse {value!r} as comma-separated numbers", param, ctx)
+        if not floats:
+            self.fail("the list is empty", param, ctx)
+        return ",".join(format(x, ".17g") for x in floats)
+
+
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _optimal_rate(config: dict) -> float:
+    return analysis.optimal_check_rate(config["penalty"]).check_rate
+
+
+@dataclass(frozen=True)
+class _Option:
+    key: str  # config-file key, click parameter name and echoed config key
+    flags: tuple[str, ...]
+    type: click.ParamType
+    #: A value; or a function of the values resolved before this one; or
+    #: None when the option is required.
+    default: object
+    help: str
+    #: What a valid (finite) value satisfies, and that rule in words.
+    valid: object = None
+    rule: str = ""
+
+
+_OPTIONS = {opt.key: opt for opt in (
+    _Option("seed", ("--seed",), click.INT, 0, "Master seed (default 0).",
+            lambda v: v >= 0, "non-negative"),
+    _Option("rounds", ("--rounds",), click.INT, 1_000_000,
+            "Rounds per session (default 1000000).", lambda v: v >= 2, "at least 2"),
+    _Option("penalty", ("--penalty", "-R"), click.FLOAT, 10_000.0,
+            "Coins Alice pays on a failed check (default 10000).",
+            lambda v: v > 0.0, "positive"),
+    _Option("check_rate", ("--check-rate", "-r"), click.FLOAT, _optimal_rate,
+            "Checking-round rate (default: optimal for the penalty).",
+            lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    _Option("noise", ("--noise",), click.FLOAT, 0.0,
+            "Pauli noise rate on the transmitted qubit (default 0).",
+            lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    _Option("theta", ("--theta",), click.FLOAT, None, "Polar Bloch angle in [0, pi].",
+            lambda v: 0.0 <= v <= math.pi, "in [0, pi]"),
+    _Option("phi", ("--phi",), click.FLOAT, 0.0,
+            "Azimuthal Bloch angle in [0, 2*pi) (default 0).",
+            lambda v: 0.0 <= v < 2.0 * math.pi, "in [0, 2*pi)"),
+    _Option("claim", ("--claim",), click.Choice([p.value for p in ClaimPolicy]),
+            "nearest", "Claim policy (default nearest)."),
+    _Option("theta_points", ("--theta-points",), click.INT, 200,
+            "Grid points over [0, theta-max] (default 200).",
+            lambda v: v >= 2, "at least 2"),
+    _Option("theta_max", ("--theta-max",), click.FLOAT, math.pi / 4.0,
+            "Largest swept polar angle (default pi/4)."),
+    _Option("phi_grid", ("--phi-grid",), _FloatList(),
+            "0,0.7853981633974483,1.5707963267948966",
+            "Comma-separated azimuthal angles (default 0,pi/4,pi/2).",
+            lambda v: all(math.isfinite(x) for x in _floats(v)), "finite"),
+    _Option("transcript", ("--transcript",), click.Path(), "",
+            "Also export a per-round transcript of a reference-engine session to PATH."),
+    _Option("transcript_rounds", ("--transcript-rounds",), click.INT, 1000,
+            "Rounds in the transcript session (default 1000).",
+            lambda v: v >= 1, "at least 1"),
+    _Option("format", ("--format",), click.Choice(["json", "csv"]), "json",
+            "Output format (default json)."),
+    _Option("output", ("--output",), click.Path(), "",
+            "Write the result document to PATH instead of stdout."),
+)}
+
+#: Read by every command, to write its result document.
+_OUTPUT_KEYS = ("format", "output")
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -187,99 +271,41 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     return values
 
 
-def _resolve(explicit, cfg: dict, key: str, default, cast):
-    if explicit is not None:
-        return explicit
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except (TypeError, ValueError):
+def _resolve(command: str, keys: tuple[str, ...], flags: dict, config_path) -> dict:
+    """Flag over config file over default, for the options `keys`, each
+    converted, checked finite and checked against its rule.  Returns the
+    values under their config-file keys; any other key in the file is an
+    error."""
+    file_values = _load_config_file(config_path)
+    for key in file_values:
+        if key not in keys:
             raise click.BadParameter(
-                f"config value {cfg[key]!r} is invalid", param_hint=key
+                f"{command} reads no key {key!r}; its keys are {', '.join(sorted(keys))}",
+                param_hint="--config",
             )
-    return default() if callable(default) else default
-
-
-def _validated_params(check_rate, penalty, noise) -> ProtocolParams:
-    if not (math.isfinite(penalty) and penalty > 0):
-        raise click.BadParameter(
-            f"penalty must be positive and finite, got {penalty}", param_hint="--penalty"
-        )
-    if check_rate is None:
-        check_rate = analysis.optimal_check_rate(penalty).check_rate
-    if not 0.0 < check_rate < 1.0:
-        raise click.BadParameter(
-            f"check rate must lie in (0, 1), got {check_rate}",
-            param_hint="--check-rate",
-        )
-    if not 0.0 <= noise < 1.0:
-        raise click.BadParameter(
-            f"noise must lie in [0, 1), got {noise}", param_hint="--noise"
-        )
-    return ProtocolParams(check_rate, penalty, noise=noise)
-
-
-def _common_config(seed, rounds, params: ProtocolParams, fmt, output) -> dict:
-    return {
-        "seed": seed,
-        "rounds": rounds,
-        "check_rate": params.check_rate,
-        "penalty": params.penalty,
-        "noise": params.noise,
-        "output_format": fmt,
-        "output_path": output or "",
-    }
-
-
-def _write_transcript(path, fmt, alice, bob, params, rounds, rng) -> None:
-    rows: list[dict] = []
-    run_session(alice, bob, params, rounds, rng, on_round=lambda rec: rows.append(rec.as_row()))
-    if fmt == "json":
-        Path(path).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-        return
-    header = ["round_type", "bob_guess", "alice_claim", "check_result", "transfer"]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(_csv_cell(r[k]) for k in header))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _shared_options(fn):
-    fn = click.option("--config", "config_path", default=None, metavar="PATH",
-                      help="Flat key=value config file; flags override it.")(fn)
-    fn = click.option("--output", default=None, metavar="PATH",
-                      help="Write the result document here instead of stdout.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      default=None, help="Output format (default json).")(fn)
-    fn = click.option("--noise", type=float, default=None,
-                      help="Pauli noise rate on the transmitted qubit (default 0).")(fn)
-    fn = click.option("--penalty", "-R", type=float, default=None,
-                      help="Coins Alice pays on a failed check (default 10000).")(fn)
-    fn = click.option("--check-rate", "-r", type=float, default=None,
-                      help="Checking-round rate (default: optimal for the penalty).")(fn)
-    fn = click.option("--rounds", type=int, default=None,
-                      help="Rounds per session (default 1000000).")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="Master seed (default 0).")(fn)
-    return fn
-
-
-def _resolve_shared(seed, rounds, check_rate, penalty, noise, fmt, output, config_path):
-    cfg = _load_config_file(config_path)
-    seed = _resolve(seed, cfg, "seed", 0, int)
-    rounds = _resolve(rounds, cfg, "rounds", 1_000_000, int)
-    penalty = _resolve(penalty, cfg, "penalty", 10_000.0, float)
-    check_rate = _resolve(check_rate, cfg, "check_rate", None, float)
-    noise = _resolve(noise, cfg, "noise", 0.0, float)
-    fmt = _resolve(fmt, cfg, "format", "json", str)
-    output = _resolve(output, cfg, "output", None, str)
-    if rounds < 2:
-        raise click.BadParameter("rounds must be at least 2", param_hint="--rounds")
-    if fmt not in ("json", "csv"):
-        raise click.BadParameter(f"unknown format {fmt!r}", param_hint="--format")
-    rate_was_default = check_rate is None
-    params = _validated_params(check_rate, penalty, noise)
-    return seed, rounds, params, fmt, output, cfg, rate_was_default
+    config: dict = {}
+    for opt in _OPTIONS.values():
+        if opt.key not in keys:
+            continue
+        hint = opt.flags[0]
+        if flags[opt.key] is not None:
+            value = flags[opt.key]
+        elif opt.key in file_values:
+            value, hint = file_values[opt.key], f"config key {opt.key!r}"
+        elif opt.default is None:
+            raise click.BadParameter(f"{opt.key} is required", param_hint=hint)
+        else:
+            value = opt.default(config) if callable(opt.default) else opt.default
+        try:
+            value = opt.type.convert(value, None, None)
+        except click.BadParameter as exc:
+            raise click.BadParameter(exc.message, param_hint=hint)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise click.BadParameter(f"must be finite, got {value}", param_hint=hint)
+        if opt.valid is not None and not opt.valid(value):
+            raise click.BadParameter(f"must be {opt.rule}, got {value}", param_hint=hint)
+        config[opt.key] = value
+    return config
 
 
 @click.group()
@@ -288,23 +314,92 @@ def main():
     """Simulate and analyze the two-state quantum gambling game."""
 
 
-@main.command()
-@_shared_options
-@click.option("--transcript", default=None, metavar="PATH",
-              help="Also export a per-round transcript of a reference-engine session.")
-@click.option("--transcript-rounds", type=int, default=1000, show_default=True,
-              help="Rounds in the transcript session.")
-@click.pass_context
-def honest(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_path,
-           transcript, transcript_rounds):
+def _command(*keys: str):
+    """Register the decorated function as a subcommand that reads the table
+    options `keys` (plus the output options).  The function maps the
+    resolved config to the rows of the result document."""
+    keys = keys + _OUTPUT_KEYS
+
+    def register(rows_for):
+        name = rows_for.__name__
+
+        def run(config_path, **flags):
+            config = _resolve(name, keys, flags, config_path)
+            doc = ResultDocument(name, config, rows_for(config))
+            _emit(doc, config["format"], config["output"])
+            click.get_current_context().exit(0 if doc.passed else 1)
+
+        run = click.option("--config", "config_path", default=None, metavar="PATH",
+                           help="Flat key = value config file; flags override it.")(run)
+        for key in reversed(keys):
+            opt = _OPTIONS[key]
+            run = click.option(*opt.flags, opt.key, type=opt.type, default=None,
+                               help=opt.help)(run)
+        return main.command(name, help=rows_for.__doc__)(run)
+
+    return register
+
+
+def _params(config: dict) -> ProtocolParams:
+    return ProtocolParams(config["check_rate"], config["penalty"], noise=config["noise"])
+
+
+# --------------------------------------------------------------------------
+# Check rows shared by several commands.
+
+
+def _transcript_distance(alice_a, alice_b, params) -> float:
+    da = analysis.oracle_transcript_distribution(alice_a, params)
+    db = analysis.oracle_transcript_distribution(alice_b, params)
+    keys = set(da) | set(db)
+    return max(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in keys)
+
+
+def _entanglement_checks(params: ProtocolParams) -> list[dict]:
+    """The constant-z attack is honest play, the x-basis steering weight,
+    and (for R >= 100) the constant-x attack loses."""
+    z_attack = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
+    x_attack = entangled_cheat({lab: BASIS_X for lab in StateLabel})
+    (p_near, _), _ = project_subsystem(x_attack.branch_model().state, Subsystem.A, BASIS_X)
+    rows = [
+        _check("constant_z_equals_honest",
+               _transcript_distance(z_attack, honest_alice(), params), 0.0, "within", 1e-12),
+        _check("steered_state_weight", p_near, (2.0 + math.sqrt(2.0)) / 4.0, "within", 1e-12),
+    ]
+    if params.penalty >= 100.0:
+        x_gain = analysis.oracle_expected_gain(x_attack, params)
+        rows.append(_check("constant_x_gain_negative", x_gain.total, 0.0, "at_most"))
+    return rows
+
+
+def _theta_grid(theta_max: float, points: int) -> list[float]:
+    return [theta_max * i / (points - 1) for i in range(points)]
+
+
+def _sweep_checks(result: analysis.SweepResult, check_rate: float, penalty: float) -> list[dict]:
+    """The sweep peaks in the z-x plane, and, at the optimal check rate for
+    the penalty, stays within 1.1 times the cap."""
+    in_plane = analysis.all_thetas_peak_in_plane(result, check_rate, penalty)
+    rows = [_check("max_in_zx_plane", in_plane, True, "equals")]
+    rate_star, cap = analysis.optimal_check_rate(penalty)
+    if check_rate == rate_star:
+        rows.append(_check("max_gain_within_cap", result.best.gain.total, 1.1 * cap, "at_most"))
+    return rows
+
+
+# --------------------------------------------------------------------------
+# Commands.
+
+
+@_command("seed", "rounds", "check_rate", "penalty", "noise", "transcript",
+          "transcript_rounds")
+def honest(config):
     """Honest play: session statistics and the win rate against theory."""
-    seed, rounds, params, fmt, output, _, _ = _resolve_shared(
-        seed, rounds, check_rate, penalty, noise, fmt, output, config_path
-    )
+    params = _params(config)
     p = analysis.protocol_constants().guess_prob
     alice = honest_alice()
     stats = run_session_fast(
-        alice.branch_model().members, params, rounds, session_rng(seed, 0)
+        alice.branch_model().members, params, config["rounds"], session_rng(config["seed"], 0)
     )
     oracle = analysis.oracle_expected_gain(alice, params)
     mc = analysis.monte_carlo_gain(stats)
@@ -322,74 +417,44 @@ def honest(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_pa
         sigma = math.sqrt(p * (1.0 - p) / stats.normal_rounds)
         rows.append(_metric("bob_win_rate", win_rate))
         if params.noise == 0.0:
-            rows.append(
-                _check_close("win_rate_matches_theory", win_rate, p, 4.0 * sigma)
-            )
+            rows.append(_check("win_rate_matches_theory", win_rate, p, "within", 4.0 * sigma))
     sigma_exact = math.sqrt(
         analysis.oracle_transfer_variance(alice, params) / stats.rounds
     )
-    rows.append(
-        _check_close(
-            "monte_carlo_matches_oracle", mc.mean, oracle.total, 4.0 * sigma_exact
-        )
-    )
-    if transcript:
+    rows.append(_check("monte_carlo_matches_oracle", mc.mean, oracle.total, "within",
+                       4.0 * sigma_exact))
+    if config["transcript"]:
         _write_transcript(
-            transcript, fmt, honest_alice(), honest_bob(params.check_rate),
-            params, transcript_rounds, session_rng(seed, 1),
+            config["transcript"], config["format"], honest_alice(),
+            honest_bob(params.check_rate), params, config["transcript_rounds"],
+            session_rng(config["seed"], 1),
         )
-    config = _common_config(seed, rounds, params, fmt, output)
-    config["transcript"] = transcript or ""
-    doc = ResultDocument("honest", config, rows)
-    _emit(doc, fmt, output)
-    ctx.exit(0 if doc.passed else 1)
+    return rows
 
 
-def _parse_claim(claim: str) -> ClaimPolicy:
-    try:
-        return ClaimPolicy(claim)
-    except ValueError:
-        raise click.BadParameter(
-            f"claim must be one of zero, plus, nearest; got {claim!r}",
-            param_hint="--claim",
-        )
+def _write_transcript(path, fmt, alice, bob, params, rounds, rng) -> None:
+    rows: list[dict] = []
+    run_session(alice, bob, params, rounds, rng, on_round=lambda rec: rows.append(rec.as_row()))
+    if fmt == "json":
+        Path(path).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        return
+    header = ["round_type", "bob_guess", "alice_claim", "check_result", "transfer"]
+    lines = [",".join(header)]
+    for r in rows:
+        lines.append(",".join(_csv_cell(r[k]) for k in header))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-@main.command()
-@_shared_options
-@click.option("--theta", type=float, default=None, help="Polar Bloch angle in [0, pi].")
-@click.option("--phi", type=float, default=None,
-              help="Azimuthal Bloch angle in [0, 2*pi) (default 0).")
-@click.option("--claim", default=None,
-              help="Claim policy: zero, plus, or nearest (default nearest).")
-@click.pass_context
-def cheat(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_path,
-          theta, phi, claim):
+@_command("seed", "rounds", "check_rate", "penalty", "noise", "theta", "phi", "claim")
+def cheat(config):
     """One fixed cheating preparation: oracle gain vs Monte Carlo."""
-    cfg = _load_config_file(config_path)
-    theta = _resolve(theta, cfg, "theta", None, float)
-    phi = _resolve(phi, cfg, "phi", 0.0, float)
-    claim = _resolve(claim, cfg, "claim", "nearest", str)
-    if theta is None:
-        raise click.BadParameter("theta is required", param_hint="--theta")
-    if not 0.0 <= theta <= math.pi:
-        raise click.BadParameter(
-            f"theta out of range [0, pi]: {theta}", param_hint="--theta"
-        )
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise click.BadParameter(
-            f"phi out of range [0, 2*pi): {phi}", param_hint="--phi"
-        )
-    policy = _parse_claim(claim)
-    seed, rounds, params, fmt, output, _, _ = _resolve_shared(
-        seed, rounds, check_rate, penalty, noise, fmt, output, config_path
-    )
-
-    strat = fixed_state_cheat(CheatPoint(theta, phi, policy))
+    params = _params(config)
+    theta, phi = config["theta"], config["phi"]
+    strat = fixed_state_cheat(CheatPoint(theta, phi, ClaimPolicy(config["claim"])))
     label = strat.branch_model().members[0][2]
     oracle = analysis.oracle_expected_gain(strat, params)
     stats = run_session_fast(
-        strat.branch_model().members, params, rounds, session_rng(seed, 0)
+        strat.branch_model().members, params, config["rounds"], session_rng(config["seed"], 0)
     )
     mc = analysis.monte_carlo_gain(stats)
 
@@ -400,53 +465,29 @@ def cheat(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_pat
         _metric("oracle_detect_term", oracle.detect_term),
         _metric("oracle_pass_term", oracle.pass_term),
         _metric("monte_carlo_gain_per_round", mc.mean, std_error=mc.std_error),
-        _check_close(
+        _check(
             "monte_carlo_matches_oracle",
             mc.mean,
             oracle.total,
+            "within",
             4.0 * math.sqrt(analysis.oracle_transfer_variance(strat, params) / stats.rounds),
         ),
     ]
     if phi == 0.0 and params.noise == 0.0:
         closed = analysis.cheat_gain_exact(theta, params.check_rate, params.penalty, label)
         rows.append(
-            _check_close("closed_form_matches_oracle", closed.total, oracle.total, 1e-12)
+            _check("closed_form_matches_oracle", closed.total, oracle.total, "within", 1e-12)
         )
-    config = _common_config(seed, rounds, params, fmt, output)
-    config.update({"theta": theta, "phi": phi, "claim": policy.value})
-    doc = ResultDocument("cheat", config, rows)
-    _emit(doc, fmt, output)
-    ctx.exit(0 if doc.passed else 1)
+    return rows
 
 
-@main.command()
-@_shared_options
-@click.option("--theta-points", type=int, default=200, show_default=True,
-              help="Grid points over [0, theta-max].")
-@click.option("--theta-max", type=float, default=math.pi / 4.0, show_default=True)
-@click.option("--phi-grid", default="0,0.7853981633974483,1.5707963267948966",
-              show_default=True, help="Comma-separated azimuthal angles.")
-@click.pass_context
-def sweep(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_path,
-          theta_points, theta_max, phi_grid):
+@_command("check_rate", "penalty", "theta_points", "theta_max", "phi_grid")
+def sweep(config):
     """Grid sweep of cheating gains against the security cap."""
-    seed, rounds, params, fmt, output, _, rate_was_default = _resolve_shared(
-        seed, rounds, check_rate, penalty, noise, fmt, output, config_path
-    )
-    if theta_points < 2:
-        raise click.BadParameter("need at least 2 points", param_hint="--theta-points")
-    try:
-        phis = [float(x) for x in phi_grid.split(",") if x.strip()]
-    except ValueError:
-        raise click.BadParameter(
-            f"could not parse phi grid {phi_grid!r}", param_hint="--phi-grid"
-        )
-    if not phis:
-        raise click.BadParameter("phi grid is empty", param_hint="--phi-grid")
-
-    thetas = [theta_max * i / (theta_points - 1) for i in range(theta_points)]
+    rate, penalty = config["check_rate"], config["penalty"]
     result = analysis.sweep_cheat_gain(
-        params.check_rate, params.penalty, thetas, phis
+        rate, penalty, _theta_grid(config["theta_max"], config["theta_points"]),
+        _floats(config["phi_grid"]),
     )
     rows = [
         {
@@ -466,117 +507,36 @@ def sweep(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_pat
         _metric("max_gain", best.gain.total, theta=best.theta, phi=best.phi,
                 claim=best.claim.value)
     )
-    in_plane = all_thetas_peak_in_plane(result, params.check_rate, params.penalty)
-    rows.append(
-        {
-            "section": "check",
-            "name": "max_in_zx_plane",
-            "value": in_plane,
-            "expected": True,
-            "tolerance": 0.0,
-            "comparison": "equals",
-            "passed": in_plane,
-        }
-    )
-    if rate_was_default:
-        cap = analysis.optimal_check_rate(params.penalty).gain_cap
-        rows.append(_check_at_most("max_gain_within_cap", best.gain.total, 1.1 * cap))
-    config = _common_config(seed, rounds, params, fmt, output)
-    config.update(
-        {"theta_points": theta_points, "theta_max": theta_max,
-         "phi_grid": ",".join(format(p, ".17g") for p in phis)}
-    )
-    doc = ResultDocument("sweep", config, rows)
-    _emit(doc, fmt, output)
-    ctx.exit(0 if doc.passed else 1)
+    return rows + _sweep_checks(result, rate, penalty)
 
 
-@main.command()
-@_shared_options
-@click.pass_context
-def entangle(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_path):
+@_command("check_rate", "penalty", "noise")
+def entangle(config):
     """Entanglement-attack policies against the honest baseline."""
-    seed, rounds, params, fmt, output, _, _ = _resolve_shared(
-        seed, rounds, check_rate, penalty, noise, fmt, output, config_path
-    )
-    rows = []
-    for name, gain in analysis.entangled_policy_gains(params):
-        rows.append(_metric(f"policy_gain[{name}]", gain.total))
-
+    params = _params(config)
+    rows = [
+        _metric(f"policy_gain[{name}]", gain.total)
+        for name, gain in analysis.entangled_policy_gains(params)
+    ]
     honest_gain = analysis.oracle_expected_gain(honest_alice(), params)
-    z_policy = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
-    rows.append(
-        _check_close(
-            "constant_z_equals_honest",
-            _transcript_distance(z_policy, honest_alice(), params),
-            0.0,
-            1e-12,
-        )
-    )
     rows.append(_metric("honest_gain_per_round", honest_gain.total))
-
-    (p_near, _), _ = project_subsystem(
-        entangled_cheat({lab: BASIS_X for lab in StateLabel}).branch_model().state,
-        Subsystem.A,
-        BASIS_X,
-    )
-    rows.append(
-        _check_close(
-            "steered_state_weight", p_near, (2.0 + math.sqrt(2.0)) / 4.0, 1e-12
-        )
-    )
-    if params.penalty >= 100.0:
-        x_gain = analysis.oracle_expected_gain(
-            entangled_cheat({lab: BASIS_X for lab in StateLabel}), params
-        )
-        rows.append(_check_at_most("constant_x_gain_negative", x_gain.total, 0.0))
-    config = _common_config(seed, rounds, params, fmt, output)
-    doc = ResultDocument("entangle", config, rows)
-    _emit(doc, fmt, output)
-    ctx.exit(0 if doc.passed else 1)
+    return rows + _entanglement_checks(params)
 
 
-def _transcript_distance(alice_a, alice_b, params) -> float:
-    da = analysis.oracle_transcript_distribution(alice_a, params)
-    db = analysis.oracle_transcript_distribution(alice_b, params)
-    keys = set(da) | set(db)
-    return max(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in keys)
-
-
-def verification_checks(check_rate: float | None, penalty: float) -> list[dict]:
+def verification_checks(check_rate: float, penalty: float) -> list[dict]:
     """The closed-form / oracle / optimizer cross-check suite."""
-    from .qubits import KET_0, KET_PLUS, Ensemble, ensemble_average_bloch
-    from .strategies import standard_attack_state
-
-    consts = analysis.protocol_constants()
-    p, loss, slope = consts
-    if check_rate is None:
-        check_rate = analysis.optimal_check_rate(penalty).check_rate
+    p, loss, slope = analysis.protocol_constants()
     params = ProtocolParams(check_rate, penalty)
-    checks: list[dict] = []
-
-    checks.append(_check_close("loss_payout_identity", loss, 3.0 + 2.0 * math.sqrt(2.0), 1e-12))
-    checks.append(
-        _check_close("gain_slope_identity", slope / (1.0 - p), 1.0 + math.sqrt(2.0), 1e-12)
-    )
+    checks = [
+        _check("loss_payout_identity", loss, 3.0 + 2.0 * math.sqrt(2.0), "within", 1e-12),
+        _check("gain_slope_identity", slope / (1.0 - p), 1.0 + math.sqrt(2.0), "within", 1e-12),
+    ]
 
     honest_gain = analysis.oracle_expected_gain(honest_alice(), params)
-    checks.append(
-        _check_close(
-            "honest_normal_rounds_fair",
-            honest_gain.normal_term / (1.0 - check_rate),
-            0.0,
-            1e-12,
-        )
-    )
-    checks.append(
-        _check_close(
-            "honest_baseline_gain",
-            honest_gain.total,
-            check_rate * (1.0 + math.sqrt(2.0)),
-            1e-12,
-        )
-    )
+    checks.append(_check("honest_normal_rounds_fair",
+                         honest_gain.normal_term / (1.0 - check_rate), 0.0, "within", 1e-12))
+    checks.append(_check("honest_baseline_gain", honest_gain.total,
+                         check_rate * (1.0 + math.sqrt(2.0)), "within", 1e-12))
 
     worst = 0.0
     for i in range(25):
@@ -590,14 +550,9 @@ def verification_checks(check_rate: float | None, penalty: float) -> list[dict]:
             worst = max(worst, abs(closed.total - oracle.total))
             ceiling = analysis.claim_gain_upper_bound(theta, check_rate, penalty, claim)
             if oracle.total > ceiling + 1e-12:
-                checks.append(
-                    _check_at_most(
-                        f"gain_ceiling[theta={theta:.4f},{claim.value}]",
-                        oracle.total,
-                        ceiling + 1e-12,
-                    )
-                )
-    checks.append(_check_close("closed_form_matches_oracle_grid", worst, 0.0, 1e-12))
+                checks.append(_check(f"gain_ceiling[theta={theta:.4f},{claim.value}]",
+                                     oracle.total, ceiling + 1e-12, "at_most"))
+    checks.append(_check("closed_form_matches_oracle_grid", worst, 0.0, "within", 1e-12))
 
     opt = analysis.quadratic_bound_optimum(check_rate, penalty)
     theta_gs, gain_gs = analysis.golden_section_max(
@@ -605,16 +560,18 @@ def verification_checks(check_rate: float | None, penalty: float) -> list[dict]:
         0.0,
         math.pi / 4.0,
     )
-    checks.append(_check_close("optimizer_matches_theta_star", theta_gs, opt.theta_star, 1e-9))
-    checks.append(_check_close("optimizer_matches_gain_max", gain_gs, opt.gain_max, 1e-9))
+    checks.append(
+        _check("optimizer_matches_theta_star", theta_gs, opt.theta_star, "within", 1e-9)
+    )
+    checks.append(_check("optimizer_matches_gain_max", gain_gs, opt.gain_max, "within", 1e-9))
 
     for pen in (10.0, 100.0, 1000.0, 10_000.0, 1_000_000.0):
         rate, cap = analysis.optimal_check_rate(pen)
         ident = analysis.quadratic_bound_optimum(rate, pen).gain_max
-        checks.append(_check_close(f"cap_identity[R={pen:g}]", ident, cap, 1e-12))
+        checks.append(_check(f"cap_identity[R={pen:g}]", ident, cap, "within", 1e-12))
     cap_small = analysis.optimal_check_rate(100.0).gain_cap
     cap_large = analysis.optimal_check_rate(10_000.0).gain_cap
-    checks.append(_check_close("cap_scaling_sqrt", cap_small / cap_large, 10.0, 1e-9))
+    checks.append(_check("cap_scaling_sqrt", cap_small / cap_large, 10.0, "within", 1e-9))
 
     min_margin = math.inf
     for i in range(25):
@@ -624,96 +581,24 @@ def verification_checks(check_rate: float | None, penalty: float) -> list[dict]:
             for guess in StateLabel:
                 f_u = analysis.unmeasured_posterior(theta, r, guess)
                 min_margin = min(min_margin, f_u - 0.5 * r)
-    checks.append(_check_at_least("posterior_floor", min_margin, -1e-15))
+    checks.append(_check("posterior_floor", min_margin, -1e-15, "at_least"))
 
-    legal = Ensemble(((0.5, KET_0), (0.5, KET_PLUS)))
-    avg = ensemble_average_bloch(legal)
-    checks.append(_check_close("legal_mixture_bloch_x", avg.x, 0.5, 1e-12))
-    checks.append(_check_close("legal_mixture_bloch_z", avg.z, 0.5, 1e-12))
+    avg = ensemble_average_bloch(Ensemble(((0.5, KET_0), (0.5, KET_PLUS))))
+    checks.append(_check("legal_mixture_bloch_x", avg.x, 0.5, "within", 1e-12))
+    checks.append(_check("legal_mixture_bloch_z", avg.z, 0.5, "within", 1e-12))
 
-    z_attack = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
-    checks.append(
-        _check_close(
-            "constant_z_attack_equals_honest",
-            _transcript_distance(z_attack, honest_alice(), params),
-            0.0,
-            1e-12,
-        )
+    checks += _entanglement_checks(params)
+    result = analysis.sweep_cheat_gain(
+        check_rate, penalty, _theta_grid(math.pi / 4.0, 40),
+        [0.0, math.pi / 4.0, math.pi / 2.0],
     )
-    x_attack = entangled_cheat({lab: BASIS_X for lab in StateLabel})
-    (p_near, _), _ = project_subsystem(standard_attack_state(), Subsystem.A, BASIS_X)
-    checks.append(
-        _check_close("steered_state_weight", p_near, (2.0 + math.sqrt(2.0)) / 4.0, 1e-12)
-    )
-    if penalty >= 100.0:
-        checks.append(
-            _check_at_most(
-                "constant_x_attack_loses",
-                analysis.oracle_expected_gain(x_attack, params).total,
-                0.0,
-            )
-        )
-
-    rate_star, cap = analysis.optimal_check_rate(penalty)
-    thetas = [math.pi / 4.0 * i / 39.0 for i in range(40)]
-    phis = [0.0, math.pi / 4.0, math.pi / 2.0]
-    result = analysis.sweep_cheat_gain(rate_star, penalty, thetas, phis)
-    checks.append(
-        _check_at_most("sweep_max_within_cap", result.best.gain.total, 1.1 * cap)
-    )
-    in_plane = all_thetas_peak_in_plane(result, rate_star, penalty)
-    checks.append(
-        {
-            "section": "check",
-            "name": "sweep_max_in_zx_plane",
-            "value": in_plane,
-            "expected": True,
-            "tolerance": 0.0,
-            "comparison": "equals",
-            "passed": in_plane,
-        }
-    )
-    return checks
+    return checks + _sweep_checks(result, check_rate, penalty)
 
 
-def all_thetas_peak_in_plane(result, check_rate: float, penalty: float) -> bool:
-    """True when, for every swept theta, no swept phi beats the better
-    in-plane azimuth after maximizing over the claim.
-
-    The in-plane azimuths are 0 and pi, and azimuth pi is polar angle
-    -theta, so the in-plane best is the closed form at +theta or -theta.
-    The 1e-12 slack absorbs rounding between the sweep's oracle values
-    and the closed form.
-    """
-    best_at: dict[float, float] = {}
-    for row in result.rows:
-        best_at[row.theta] = max(best_at.get(row.theta, -math.inf), row.gain.total)
-    for theta, best in best_at.items():
-        in_plane = max(
-            analysis.cheat_gain_exact(polar, check_rate, penalty, claim).total
-            for polar in (theta, -theta)
-            for claim in StateLabel
-        )
-        if best > in_plane + 1e-12:
-            return False
-    return True
-
-
-@main.command()
-@_shared_options
-@click.pass_context
-def verify(ctx, seed, rounds, check_rate, penalty, noise, fmt, output, config_path):
+@_command("check_rate", "penalty")
+def verify(config):
     """Run the full closed-form / oracle / optimizer cross-check suite."""
-    seed, rounds, params, fmt, output, _, rate_default = _resolve_shared(
-        seed, rounds, check_rate, penalty, noise, fmt, output, config_path
-    )
-    rows = verification_checks(
-        None if rate_default else params.check_rate, params.penalty
-    )
-    config = _common_config(seed, rounds, params, fmt, output)
-    doc = ResultDocument("verify", config, rows)
-    _emit(doc, fmt, output)
-    ctx.exit(0 if doc.passed else 1)
+    return verification_checks(config["check_rate"], config["penalty"])
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """CLI harness: exit codes, determinism, serialization round trips."""
 
+import csv
+import io
 import json
 import math
 
@@ -7,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from qgamble import analysis
-from qgamble.cli import ResultDocument, all_thetas_peak_in_plane, main, serialize
+from qgamble.analysis import all_thetas_peak_in_plane
+from qgamble.cli import ResultDocument, main, serialize
 from qgamble.protocol import StateLabel
 
 runner = CliRunner()
@@ -19,7 +22,7 @@ def run_cli(*args):
 
 class TestVerifyCommand:
     def test_all_checks_pass(self):
-        result = run_cli("verify", "--seed", "7", "-R", "10000")
+        result = run_cli("verify", "-R", "10000")
         assert result.exit_code == 0, result.output
         doc = json.loads(result.output)
         assert doc["passed"] is True
@@ -127,7 +130,7 @@ class TestCheatCommand:
 class TestSweepCommand:
     def test_grid_and_cap(self):
         result = run_cli(
-            "sweep", "--theta-points", "40", "--seed", "0", "-R", "100"
+            "sweep", "--theta-points", "40", "-R", "100"
         )
         assert result.exit_code == 0, result.output
         doc = json.loads(result.output)
@@ -172,6 +175,17 @@ class TestSweepCommand:
             row.gain.detect_term, row.gain.pass_term))
         tampered = result._replace(rows=result.rows[:-1] + (raised,))
         assert not all_thetas_peak_in_plane(tampered, rate, penalty)
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--theta-max", "nan"), ("--theta-max", "inf"), ("--theta-max", "-inf"),
+         ("--phi-grid", "nan"), ("--phi-grid", "0,inf")],
+    )
+    def test_non_finite_grid_names_option(self, args):
+        result = run_cli("sweep", "--theta-points", "5", *args)
+        assert result.exit_code == 2
+        assert args[0] in result.output
+        assert "Traceback" not in result.output
 
     def test_explicit_rate_skips_cap_check(self):
         result = run_cli(
@@ -224,6 +238,100 @@ class TestConfigFile:
         assert "rounds" in result.output
 
 
+def _config_of(output: str, fmt: str) -> dict:
+    if fmt == "json":
+        return json.loads(output)["config"]
+    rows = csv.DictReader(io.StringIO(output))
+    return {r["name"]: r["value"] for r in rows if r["section"] == "config"}
+
+
+class TestOptionContract:
+    """Each command takes only the options it reads, and the `config` of
+    its result document, fed back through --config, replays the run."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "-R", "10000"),
+            ("sweep", "-R", "100", "--theta-points", "5"),
+            ("sweep", "-r", "0.25", "-R", "100", "--theta-points", "5",
+             "--phi-grid", "0.5,1", "--format", "csv"),
+            ("entangle", "-R", "1000", "--noise", "0.01"),
+            ("honest", "--seed", "3", "--rounds", "5000", "-R", "100",
+             "--transcript-rounds", "20", "--transcript"),
+            ("cheat", "--theta", "0.2", "--phi", "0.3", "--claim", "zero",
+             "--rounds", "5000", "--seed", "4", "--noise", "0.01"),
+        ],
+        ids=["verify", "sweep_default_rate", "sweep_csv", "entangle", "honest_transcript",
+             "cheat"],
+    )
+    def test_echoed_config_replays_run(self, tmp_path, args):
+        transcript = tmp_path / "transcript.json"
+        if args[-1] == "--transcript":
+            args += (str(transcript),)
+        fmt = "csv" if "csv" in args else "json"
+        first = run_cli(*args)
+        assert first.exit_code == 0, first.output
+        first_transcript = transcript.read_bytes() if transcript.exists() else None
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in _config_of(first.output, fmt).items()))
+        replay = run_cli(args[0], "--config", str(cfg))
+        assert replay.exit_code == 0, replay.output
+        assert replay.stdout_bytes == first.stdout_bytes
+        if first_transcript is not None:
+            assert transcript.read_bytes() == first_transcript
+
+    @pytest.mark.parametrize(
+        "command,key", [("honest", "penatly"), ("honest", "check-rate"), ("honest", "theta"),
+                        ("verify", "seed"), ("sweep", "noise")],
+    )
+    def test_key_the_command_does_not_read_is_config_error(self, tmp_path, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 5\n")
+        result = run_cli(command, "--config", str(cfg))
+        assert result.exit_code == 2
+        assert repr(key) in result.output
+
+    def test_non_finite_config_value_names_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("penalty = nan\n")
+        result = run_cli("entangle", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert "'penalty'" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [("verify", "--seed", "1"), ("verify", "--rounds", "7"), ("verify", "--noise", "0.3"),
+         ("sweep", "--noise", "0.1"), ("sweep", "--seed", "0"), ("sweep", "--rounds", "7"),
+         ("entangle", "--rounds", "10"), ("entangle", "--seed", "1")],
+    )
+    def test_option_the_command_ignores_is_rejected(self, args):
+        result = run_cli(*args)
+        assert result.exit_code == 2
+        assert args[1] in result.output
+
+    def test_each_command_takes_only_its_options(self):
+        shared = {"check_rate", "penalty", "format", "output", "config_path"}
+        sampled = shared | {"seed", "rounds", "noise"}
+        expected = {
+            "verify": shared,
+            "sweep": shared | {"theta_points", "theta_max", "phi_grid"},
+            "entangle": shared | {"noise"},
+            "honest": sampled | {"transcript", "transcript_rounds"},
+            "cheat": sampled | {"theta", "phi", "claim"},
+        }
+        taken = {name: {p.name for p in cmd.params} for name, cmd in main.commands.items()}
+        assert taken == expected
+        assert sum(map(len, taken.values())) == 40
+
+    @pytest.mark.parametrize("args", [("honest", "--seed", "-1"),
+                                      ("honest", "--transcript-rounds", "0")])
+    def test_out_of_range_integer_names_option(self, args):
+        result = run_cli(*args, "--rounds", "1000")
+        assert result.exit_code == 2
+        assert args[1] in result.output
+
+
 class TestSerialization:
     def doc(self):
         return ResultDocument(
@@ -256,6 +364,14 @@ class TestSerialization:
         assert lines[0].startswith("section,name")
         # meta and config rows remain even with no data rows
         assert len(lines) >= 4
+
+    def test_csv_quotes_cells_with_commas(self):
+        doc = ResultDocument("demo", {"phi_grid": "0,0.5", "note": 'say "hi"'}, [])
+        rows = list(csv.reader(io.StringIO(serialize(doc, "csv").decode())))
+        assert {len(r) for r in rows} == {len(rows[0])}
+        cells = {r[1]: r[rows[0].index("value")] for r in rows[1:]}
+        assert cells["phi_grid"] == "0,0.5"
+        assert cells["note"] == 'say "hi"'
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
