@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .protocol import (
     CheckResult,
     ProtocolParams,
@@ -36,6 +38,7 @@ from .qubits import (
     TwoQubitPure,
     apply_pauli,
     apply_pauli_pair,
+    bloch_from_state,
     overlap,
     project_subsystem,
     state_from_bloch,
@@ -101,10 +104,12 @@ class GainBreakdown:
     total: float
 
     def __post_init__(self):
-        if self.detect_term > 1e-12:
+        n, d, p = self.normal_term, self.detect_term, self.pass_term
+        if d > 1e-12:
             raise ValueError("detect_term must be nonpositive")
-        parts = self.normal_term + self.detect_term + self.pass_term
-        if abs(parts - self.total) > 1e-12:
+        # The plain sum and the fsum of from_terms differ by rounding, which
+        # grows with the terms' magnitude.
+        if abs(n + d + p - self.total) > 1e-12 * max(1.0, abs(n) + abs(d) + abs(p)):
             raise ValueError("breakdown terms do not sum to the total")
 
     @classmethod
@@ -271,7 +276,10 @@ def golden_section_max(
         cand = xm + 0.5 * h * (fa - fb) / denom
         if lo <= cand <= hi:
             fc = f(cand)
-            if fc >= fx:
+            # Near the top, f(cand) and f(x) tie up to rounding, and the
+            # vertex of the fit is the better argmax: an ulp-level loss
+            # must not reject it.
+            if fc >= fx - 4.0 * math.ulp(fx):
                 return cand, fc
     return x, fx
 
@@ -485,27 +493,48 @@ def sweep_cheat_gain(
     phi_grid: Sequence[float],
     claims: Sequence[StateLabel] = tuple(StateLabel),
 ) -> SweepResult:
-    """Oracle gain for every (theta, phi, claim) grid point, plus the argmax.
+    """Exact gain for every (theta, phi, claim) grid point, plus the argmax.
 
-    Ties go to the earliest grid point, so an unbroken symmetry in phi
-    reports the first phi value.
+    Every probability a fixed-state cheat meets is (1 + n.v)/2 in the Bloch
+    vector v of the sent state, so each gain term is affine in v; the terms
+    are evaluated for the whole grid at once.  The branch-enumeration
+    oracle computes the same rows independently and the tests hold the two
+    together.  Ties go to the earliest grid point, so an unbroken symmetry
+    in phi reports the first phi value.
     """
     if not theta_grid or not phi_grid or not claims:
         raise ValueError("sweep grids must be non-empty")
-    rows = []
-    best = None
-    for theta in theta_grid:
-        for phi in phi_grid:
-            state = state_from_bloch(theta, phi)
-            for claim in claims:
-                strat = _sweep_strategy(state, claim)
-                gain = oracle_expected_gain(
-                    strat, ProtocolParams(check_rate, penalty)
-                )
-                row = SweepRow(theta, phi, claim, gain)
-                rows.append(row)
-                if best is None or row.gain.total > best.gain.total:
-                    best = row
+    theta = np.asarray(theta_grid, dtype=float)[:, None]
+    phi = np.asarray(phi_grid, dtype=float)[None, :]
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("sweep angles must be finite")
+    params = ProtocolParams(check_rate, penalty)
+    r = params.check_rate
+    sin_t = np.sin(theta)
+    v = (sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta))
+
+    def born(n) -> np.ndarray:
+        """(1 + n.v)/2: probability of projecting onto the state at Bloch vector n."""
+        return np.clip(0.5 * (1.0 + (n.x * v[0] + n.y * v[1] + n.z * v[2])), 0.0, 1.0)
+
+    p_zero = born(bloch_from_state(BASIS_DISCRIM.plus))
+    per_claim = []
+    for claim in claims:
+        caught = born(bloch_from_state(claim.verification_basis.minus))
+        on_zero = _settle(StateLabel.ZERO, claim, params)
+        on_plus = _settle(StateLabel.PLUS, claim, params)
+        normal = (1.0 - r) * (p_zero * on_zero + (1.0 - p_zero) * on_plus)
+        detect = 0.0 - r * caught * params.penalty  # 0.0, not -0.0, when never caught
+        passed = r * (1.0 - caught) * 0.5 * (on_zero + on_plus)
+        per_claim.append(np.stack((normal, detect, passed), axis=-1))
+    cells = np.stack(per_claim, axis=2).tolist()  # [theta][phi][claim][term]
+    rows = [
+        SweepRow(theta_value, phi_value, claim, GainBreakdown.from_terms(*terms))
+        for theta_value, plane in zip(theta_grid, cells)
+        for phi_value, line in zip(phi_grid, plane)
+        for claim, terms in zip(claims, line)
+    ]
+    best = max(rows, key=lambda row: row.gain.total)
     return SweepResult(tuple(rows), best)
 
 
@@ -530,12 +559,6 @@ def all_thetas_peak_in_plane(result: SweepResult, check_rate: float, penalty: fl
         if best > in_plane + 1e-12:
             return False
     return True
-
-
-def _sweep_strategy(state: PureQubit, claim: StateLabel) -> AliceStrategy:
-    from .strategies import _FixedStateCheat  # internal reuse, not public API
-
-    return _FixedStateCheat(state, claim)
 
 
 def entangled_policy_gains(

@@ -85,21 +85,6 @@ class Subsystem(Enum):
         return Subsystem.B if self is Subsystem.A else Subsystem.A
 
 
-def _check_finite(z: complex) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("amplitudes must be finite")
-
-
-def _canonical_phase(amps: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Divide out the global phase so the first sizeable amplitude is real >= 0."""
-    ref = next((a for a in amps if abs(a) > _PHASE_CUTOFF), amps[-1])
-    mag = abs(ref)
-    if mag == 0.0:
-        return amps
-    phase = ref / mag
-    return tuple(a / phase for a in amps)
-
-
 @dataclass(frozen=True)
 class PureQubit:
     """Normalized single-qubit pure state a0|0> + a1|1>."""
@@ -109,12 +94,18 @@ class PureQubit:
 
     def __post_init__(self):
         a0, a1 = complex(self.amp0), complex(self.amp1)
-        _check_finite(a0)
-        _check_finite(a1)
-        norm_sq = abs(a0) ** 2 + abs(a1) ** 2
+        if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
+            raise ValueError("amplitudes must be finite")
+        m0, m1 = abs(a0), abs(a1)
+        norm_sq = m0**2 + m1**2
         if abs(norm_sq - 1.0) > ATOL_STATE:
             raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
-        a0, a1 = _canonical_phase((a0, a1))
+        # Global phase: the first amplitude above _PHASE_CUTOFF (else the
+        # last) becomes real and nonnegative.
+        mag = m0 if m0 > _PHASE_CUTOFF else m1
+        if mag != 0.0:
+            phase = (a0 if m0 > _PHASE_CUTOFF else a1) / mag
+            a0, a1 = a0 / phase, a1 / phase
         object.__setattr__(self, "amp0", a0)
         object.__setattr__(self, "amp1", a1)
 
@@ -182,15 +173,33 @@ class TwoQubitPure:
     amps: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amps)
+        amps = self.amps
         if len(amps) != 4:
             raise ValueError("two-qubit state needs exactly 4 amplitudes")
-        for a in amps:
-            _check_finite(a)
-        norm_sq = sum(abs(a) ** 2 for a in amps)
+        a0, a1 = complex(amps[0]), complex(amps[1])
+        a2, a3 = complex(amps[2]), complex(amps[3])
+        if not (
+            cmath.isfinite(a0) and cmath.isfinite(a1)
+            and cmath.isfinite(a2) and cmath.isfinite(a3)
+        ):
+            raise ValueError("amplitudes must be finite")
+        m0, m1, m2, m3 = abs(a0), abs(a1), abs(a2), abs(a3)
+        norm_sq = m0**2 + m1**2 + m2**2 + m3**2
         if abs(norm_sq - 1.0) > ATOL_STATE:
             raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amps", _canonical_phase(amps))
+        # Same phase convention as PureQubit, over four amplitudes.
+        if m0 > _PHASE_CUTOFF:
+            ref, mag = a0, m0
+        elif m1 > _PHASE_CUTOFF:
+            ref, mag = a1, m1
+        elif m2 > _PHASE_CUTOFF:
+            ref, mag = a2, m2
+        else:
+            ref, mag = a3, m3
+        if mag != 0.0:
+            phase = ref / mag
+            a0, a1, a2, a3 = a0 / phase, a1 / phase, a2 / phase, a3 / phase
+        object.__setattr__(self, "amps", (a0, a1, a2, a3))
 
     def amp(self, a: int, b: int) -> complex:
         return self.amps[2 * a + b]
@@ -257,24 +266,39 @@ def measure(state: PureQubit, basis: MeasurementBasis, rng) -> tuple[Outcome, Pu
     return Outcome.MINUS, basis.minus
 
 
+def _residue(
+    state: TwoQubitPure, which: Subsystem, onto: PureQubit
+) -> tuple[complex, complex, float]:
+    """Unnormalized partner amplitudes left by projecting `which` onto `onto`,
+    and their squared norm."""
+    s00, s01, s10, s11 = state.amps
+    c0, c1 = onto.amp0.conjugate(), onto.amp1.conjugate()
+    if which is Subsystem.A:
+        r0 = c0 * s00 + c1 * s10
+        r1 = c0 * s01 + c1 * s11
+    else:
+        r0 = c0 * s00 + c1 * s01
+        r1 = c0 * s10 + c1 * s11
+    return r0, r1, abs(r0) ** 2 + abs(r1) ** 2
+
+
+def _outcome_prob(norm_sq: float) -> float:
+    # Below 1e-30 the outcome is impossible; normalizing the residue would
+    # only amplify rounding noise (and underflows outright for subnormal
+    # residues).
+    return 0.0 if norm_sq <= 1e-30 else min(1.0, norm_sq)
+
+
 def _project_once(
     state: TwoQubitPure, which: Subsystem, onto: PureQubit
 ) -> tuple[float, PureQubit | None]:
     """Probability of projecting `which` onto `onto`, plus the collapsed partner state."""
-    c0, c1 = onto.amp0.conjugate(), onto.amp1.conjugate()
-    if which is Subsystem.A:
-        r0 = c0 * state.amp(0, 0) + c1 * state.amp(1, 0)
-        r1 = c0 * state.amp(0, 1) + c1 * state.amp(1, 1)
-    else:
-        r0 = c0 * state.amp(0, 0) + c1 * state.amp(0, 1)
-        r1 = c0 * state.amp(1, 0) + c1 * state.amp(1, 1)
-    prob = abs(r0) ** 2 + abs(r1) ** 2
-    if prob <= 1e-30:
-        # Impossible outcome; normalizing the residue would only amplify
-        # rounding noise (and underflows outright for subnormal residues).
+    r0, r1, norm_sq = _residue(state, which, onto)
+    prob = _outcome_prob(norm_sq)
+    if prob == 0.0:
         return 0.0, None
-    scale = 1.0 / math.sqrt(prob)
-    return min(1.0, prob), PureQubit(r0 * scale, r1 * scale)
+    scale = 1.0 / math.sqrt(norm_sq)
+    return prob, PureQubit(r0 * scale, r1 * scale)
 
 
 def project_subsystem(
@@ -295,13 +319,16 @@ def project_subsystem(
 def measure_subsystem(
     state: TwoQubitPure, which: Subsystem, basis: MeasurementBasis, rng
 ) -> tuple[Outcome, PureQubit]:
-    """Measure one subsystem; returns the outcome and the collapsed partner state."""
-    (p_plus, rem_plus), (_, rem_minus) = project_subsystem(state, which, basis)
-    if rng.random() < p_plus:
-        assert rem_plus is not None
-        return Outcome.PLUS, rem_plus
-    assert rem_minus is not None
-    return Outcome.MINUS, rem_minus
+    """Measure one subsystem; returns the outcome and the collapsed partner state.
+
+    Draws against the same p_plus as `project_subsystem`, then collapses
+    onto the drawn outcome only.
+    """
+    p_plus = _outcome_prob(_residue(state, which, basis.plus)[2])
+    outcome = Outcome.PLUS if rng.random() < p_plus else Outcome.MINUS
+    _, remaining = _project_once(state, which, basis.state_of(outcome))
+    assert remaining is not None
+    return outcome, remaining
 
 
 def reduced_bloch(state: TwoQubitPure, which: Subsystem) -> BlochVector:

@@ -85,6 +85,16 @@ class TestExactGain:
         with pytest.raises(ValueError):
             GainBreakdown(1.0, 0.0, 0.0, 2.0)  # terms do not sum
 
+    def test_breakdown_tolerance_scales_with_terms(self):
+        # cheat_gain_exact(0.01, 0.5, 1e6, PLUS): the plain sum of these
+        # terms is an ulp off their fsum, more than 1e-12 at this magnitude.
+        terms = (2.2202712713275408, -212640.4668816002, 0.6937472821316412)
+        g = GainBreakdown.from_terms(*terms)
+        assert abs(g.total - sum(terms)) > 1e-12
+        for total in (g.total + 1e-6, g.total - 1e-6, 2.0 * g.total):
+            with pytest.raises(ValueError):
+                GainBreakdown(*terms, total)
+
 
 class TestClaimCeiling:
     def test_oracle_never_exceeds_ceiling(self):
@@ -151,6 +161,19 @@ class TestOptimum:
             )
             assert theta == pytest.approx(opt.theta_star, abs=1e-9)
             assert gain == pytest.approx(opt.gain_max, abs=1e-9)
+
+    def test_golden_section_argmax_over_many_pairs(self):
+        # The parabolic polish must not lose the vertex to an ulp-level tie.
+        rng = np.random.default_rng(20261018)
+        for _ in range(20_000):
+            rate = rng.uniform(0.01, 0.2)
+            penalty = 10.0 ** rng.uniform(math.log10(10.0 / rate), 5.0)
+            theta, _ = golden_section_max(
+                lambda t: cheat_gain_quadratic_bound(t, rate, penalty),
+                0.0,
+                math.pi / 4.0,
+            )
+            assert abs(theta - quadratic_bound_optimum(rate, penalty).theta_star) <= 1e-9
 
     def test_golden_section_generic_function(self):
         x, fx = golden_section_max(lambda t: -((t - 0.3) ** 2) + 1.0, 0.0, 1.0)
@@ -409,6 +432,42 @@ class TestSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             sweep_cheat_gain(0.1, 100.0, [], [0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        with pytest.raises(ValueError):
+            sweep_cheat_gain(0.1, 100.0, [0.0, bad], [0.0])
+        with pytest.raises(ValueError):
+            sweep_cheat_gain(0.1, 100.0, [0.0], [0.0, bad])
+
+    def test_rows_match_oracle_term_by_term(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            rate = rng.uniform(0.001, 0.999)
+            penalty = 10.0 ** rng.uniform(-2.0, math.log10(1e4 / rate))
+            thetas = [0.0, math.pi / 2.0, math.pi] + list(rng.uniform(0.0, math.pi, 4))
+            phis = [0.0, math.pi] + list(rng.uniform(0.0, 2.0 * math.pi, 3))
+            params = ProtocolParams(rate, penalty)
+            tol = 1e-14 * max(1.0, rate * penalty)
+            result = sweep_cheat_gain(rate, penalty, thetas, phis)
+            expected_keys = [(t, p, c) for t in thetas for p in phis for c in StateLabel]
+            assert [(r.theta, r.phi, r.claim) for r in result.rows] == expected_keys
+            for row in result.rows:
+                point = CheatPoint(row.theta, row.phi, ClaimPolicy(row.claim.value))
+                oracle = oracle_expected_gain(fixed_state_cheat(point), params)
+                assert abs(row.gain.normal_term - oracle.normal_term) <= tol
+                assert abs(row.gain.detect_term - oracle.detect_term) <= tol
+                assert abs(row.gain.pass_term - oracle.pass_term) <= tol
+                assert abs(row.gain.total - oracle.total) <= tol
+
+    def test_ties_go_to_earliest_row(self):
+        # Every azimuth at theta = 0 is the same state, and the grid repeats
+        # that state; the legal state |0> with a truthful claim is the best.
+        thetas = [0.0, 0.0]
+        phis = [0.0, 1.0, 2.0]
+        result = sweep_cheat_gain(0.1, 100.0, thetas, phis, (StateLabel.PLUS, StateLabel.ZERO))
+        assert result.best is result.rows[1]
+        assert sum(r.gain.total == result.best.gain.total for r in result.rows) == 6
 
 
 class TestPolicyFamily:

@@ -197,6 +197,25 @@ class TestSweepCommand:
         assert "max_gain_within_cap" not in names
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "-R", "1e8"),
+        ("sweep", "-r", "0.3", "-R", "1e5", "--theta-max", "3.1"),
+        ("entangle", "-r", "0.5", "-R", "1e6"),
+    ],
+)
+def test_large_penalty_reports_check_rows(args):
+    # Gains of order r*R pass 4096, where one ulp exceeds 1e-12: the
+    # breakdown's sum check must scale with them instead of raising.
+    result = run_cli(*args)
+    assert result.exit_code in (0, 1), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    doc = json.loads(result.output)
+    assert any(r["section"] == "check" for r in doc["rows"])
+
+
 class TestEntangleCommand:
     def test_reductions_and_weights(self):
         result = run_cli("entangle", "-R", "10000")

@@ -1,5 +1,6 @@
 """Tests for the pure-state machinery, from frozen values and independent oracles."""
 
+import copy
 import math
 
 import numpy as np
@@ -76,6 +77,19 @@ class TestConstruction:
     def test_phase_convention_falls_back_to_amp1(self):
         s = PureQubit(0.0, 1j)
         assert s.amp1 == pytest.approx(1.0)
+
+    def test_two_qubit_phase_convention(self):
+        # The first amplitude above the cutoff becomes real and nonnegative,
+        # and a global phase on the input does not show in the stored state.
+        s = TwoQubitPure((0.5j, 0.5, -0.5, 0.5j))
+        assert s.amps[0] == pytest.approx(0.5, abs=1e-15)
+        assert s.amps[0].imag == 0.0
+        turned = TwoQubitPure(tuple(a * complex(0.6, 0.8) for a in s.amps))
+        assert all(abs(a - b) < 1e-15 for a, b in zip(turned.amps, s.amps))
+        skip = TwoQubitPure((0.0, 0.6j, 0.8, 0.0))
+        assert skip.amps[1] == pytest.approx(0.6, abs=1e-15)
+        assert skip.amps[1].imag == 0.0
+        assert skip.amps[2] == pytest.approx(-0.8j, abs=1e-15)
 
     def test_two_qubit_normalization(self):
         with pytest.raises(ValueError):
@@ -215,6 +229,21 @@ class TestTwoQubit:
         for basis in (BASIS_Z, BASIS_X, BASIS_DISCRIM):
             _, remaining = measure_subsystem(state, Subsystem.A, basis, rng)
             assert remaining.isclose(KET_PLUS, tol=1e-12)
+
+    def test_measure_subsystem_matches_projection(self):
+        # One draw against p_plus from project_subsystem, and the collapsed
+        # state of the drawn outcome, bit for bit.
+        state = TwoQubitPure((0.5, 0.5j, -0.5, 0.5))
+        rng = RNG(4)
+        for which in Subsystem:
+            for basis in (BASIS_Z, BASIS_X, BASIS_DISCRIM):
+                sides = project_subsystem(state, which, basis)
+                for _ in range(20):
+                    u = copy.deepcopy(rng).random()
+                    outcome, post = measure_subsystem(state, which, basis, rng)
+                    index = 0 if u < sides[0][0] else 1
+                    assert outcome is (Outcome.PLUS, Outcome.MINUS)[index]
+                    assert post == sides[index][1]
 
     def test_reduced_bloch_attack_state(self):
         # Hand computation: equal mixture of |0> and |+>.
