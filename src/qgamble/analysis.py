@@ -70,6 +70,7 @@ __all__ = [
     "sweep_cheat_gain",
     "all_thetas_peak_in_plane",
     "entangled_policy_gains",
+    "exact_tolerance",
 ]
 
 _COS8 = math.cos(math.pi / 8.0)
@@ -122,6 +123,13 @@ class GainBreakdown:
             pass_term,
             math.fsum((normal_term, detect_term, pass_term)),
         )
+
+
+def exact_tolerance(a: float, b: float) -> float:
+    """Slack for comparing two exact routes to one value: 1e-12, scaled by
+    the larger magnitude once it passes 1 (one ulp of a value near 4096
+    is already 9e-13)."""
+    return 1e-12 * max(1.0, abs(a), abs(b))
 
 
 class Optimum(NamedTuple):
@@ -502,7 +510,7 @@ def sweep_cheat_gain(
     together.  Ties go to the earliest grid point, so an unbroken symmetry
     in phi reports the first phi value.
     """
-    if not theta_grid or not phi_grid or not claims:
+    if len(theta_grid) == 0 or len(phi_grid) == 0 or len(claims) == 0:
         raise ValueError("sweep grids must be non-empty")
     theta = np.asarray(theta_grid, dtype=float)[:, None]
     phi = np.asarray(phi_grid, dtype=float)[None, :]
@@ -544,8 +552,8 @@ def all_thetas_peak_in_plane(result: SweepResult, check_rate: float, penalty: fl
 
     The in-plane azimuths are 0 and pi, and azimuth pi is polar angle
     -theta, so the in-plane best is the closed form at +theta or -theta.
-    The 1e-12 slack absorbs rounding between the sweep's oracle values
-    and the closed form.
+    The `exact_tolerance` slack absorbs rounding between the sweep's
+    values and the closed form.
     """
     best_at: dict[float, float] = {}
     for row in result.rows:
@@ -556,7 +564,7 @@ def all_thetas_peak_in_plane(result: SweepResult, check_rate: float, penalty: fl
             for polar in (theta, -theta)
             for claim in StateLabel
         )
-        if best > in_plane + 1e-12:
+        if best > in_plane + exact_tolerance(best, in_plane):
             return False
     return True
 

@@ -475,9 +475,10 @@ def cheat(config):
     ]
     if phi == 0.0 and params.noise == 0.0:
         closed = analysis.cheat_gain_exact(theta, params.check_rate, params.penalty, label)
-        rows.append(
-            _check("closed_form_matches_oracle", closed.total, oracle.total, "within", 1e-12)
-        )
+        rows.append(_check(
+            "closed_form_matches_oracle", closed.total, oracle.total, "within",
+            analysis.exact_tolerance(closed.total, oracle.total),
+        ))
     return rows
 
 
@@ -538,6 +539,8 @@ def verification_checks(check_rate: float, penalty: float) -> list[dict]:
     checks.append(_check("honest_baseline_gain", honest_gain.total,
                          check_rate * (1.0 + math.sqrt(2.0)), "within", 1e-12))
 
+    # Each gap is divided by the scale `exact_tolerance` applies,
+    # max(1, |closed|, |oracle|): absolute up to magnitude 1, relative above.
     worst = 0.0
     for i in range(25):
         theta = math.pi / 2.0 * i / 24.0
@@ -547,11 +550,13 @@ def verification_checks(check_rate: float, penalty: float) -> list[dict]:
                 CheatPoint(theta, 0.0, ClaimPolicy(claim.value))
             )
             oracle = analysis.oracle_expected_gain(strat, params)
-            worst = max(worst, abs(closed.total - oracle.total))
+            gap = abs(closed.total - oracle.total)
+            worst = max(worst, gap * 1e-12 / analysis.exact_tolerance(closed.total, oracle.total))
             ceiling = analysis.claim_gain_upper_bound(theta, check_rate, penalty, claim)
-            if oracle.total > ceiling + 1e-12:
+            limit = ceiling + analysis.exact_tolerance(oracle.total, ceiling)
+            if oracle.total > limit:
                 checks.append(_check(f"gain_ceiling[theta={theta:.4f},{claim.value}]",
-                                     oracle.total, ceiling + 1e-12, "at_most"))
+                                     oracle.total, limit, "at_most"))
     checks.append(_check("closed_form_matches_oracle_grid", worst, 0.0, "within", 1e-12))
 
     opt = analysis.quadratic_bound_optimum(check_rate, penalty)

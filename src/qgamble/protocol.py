@@ -105,6 +105,15 @@ class CheckResult(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
+# The round path reads enum members through these names: on Python 3.11,
+# reading a member off its Enum class costs about 0.1 us, several times
+# per round.
+_A, _B = Subsystem.A, Subsystem.B
+_NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
+_FAIL, _NOT_APPLICABLE = CheckResult.FAIL, CheckResult.NOT_APPLICABLE
+_PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
+
+
 class ProtocolViolation(RuntimeError):
     """A strategy acted on a subsystem it does not control."""
 
@@ -143,8 +152,7 @@ class ProtocolParams:
             raise ValueError("abort_threshold must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """Transcript of one round; `transfer` is signed, positive = paid to Alice."""
 
     round_type: RoundType
@@ -162,12 +170,7 @@ class RoundRecord:
             return False
         if self.check_result is CheckResult.FAIL:
             return self.transfer == -params.penalty
-        expected = (
-            -params.win_payout
-            if self.bob_guess == self.alice_claim
-            else params.loss_payout
-        )
-        return self.transfer == expected
+        return self.transfer == _settle(self.bob_guess, self.alice_claim, params)
 
     def as_row(self) -> dict:
         return {
@@ -226,22 +229,23 @@ class BobMove(NamedTuple):
     outcome: Optional[Outcome]
 
 
-_OWNER = {Subsystem.A: "alice", Subsystem.B: "bob"}
-
-
 class RoundRegister:
     """Engine-owned quantum state of one round.
 
     Strategies never hold raw states during play; they measure through
     SubsystemView handles, which lets the engine enforce that each party
     touches only its own subsystem and that nothing is measured twice.
+    Subsystem A belongs to "alice" and B to "bob".
     """
+
+    __slots__ = ("_state", "_pure_holder", "_a_measured", "_b_measured")
 
     def __init__(self, state: PureQubit | TwoQubitPure):
         self._state: PureQubit | TwoQubitPure | None = state
         # For a lone qubit, which subsystem it belongs to.
-        self._pure_holder = Subsystem.B
-        self._consumed: set[Subsystem] = set()
+        self._pure_holder = _B
+        self._a_measured = False
+        self._b_measured = False
 
     def apply_noise(self, eps: float, rng) -> None:
         """Pauli channel on the transmitted subsystem (B), in transit."""
@@ -257,29 +261,35 @@ class RoundRegister:
     def measure(
         self, which: Subsystem, basis: MeasurementBasis, rng, actor: str
     ) -> Outcome:
-        if _OWNER[which] != actor:
+        is_a = which is _A
+        owner = "alice" if is_a else "bob" if which is _B else None
+        if actor != owner:
             raise ProtocolViolation(
                 f"{actor} attempted to measure subsystem {which.value}"
             )
-        if which in self._consumed:
+        if self._a_measured if is_a else self._b_measured:
             raise ProtocolViolation(f"subsystem {which.value} was already measured")
-        if isinstance(self._state, TwoQubitPure):
-            outcome, remaining = measure_subsystem(self._state, which, basis, rng)
-            self._state = remaining
-            self._pure_holder = which.other()
+        state = self._state
+        if isinstance(state, TwoQubitPure):
+            outcome, self._state = measure_subsystem(state, which, basis, rng)
+            self._pure_holder = _B if is_a else _A
         else:
-            if self._state is None or which is not self._pure_holder:
+            if state is None or which is not self._pure_holder:
                 raise ProtocolViolation(
                     f"{actor} holds no qubit on subsystem {which.value}"
                 )
-            outcome, post = measure(self._state, basis, rng)
-            self._state = post
-        self._consumed.add(which)
+            outcome, self._state = measure(state, basis, rng)
+        if is_a:
+            self._a_measured = True
+        else:
+            self._b_measured = True
         return outcome
 
 
 class SubsystemView:
     """A party's measurement handle onto its own half of the round register."""
+
+    __slots__ = ("_register", "_which", "_actor")
 
     def __init__(self, register: RoundRegister, which: Subsystem, actor: str):
         self._register = register
@@ -309,37 +319,34 @@ def _settle(guess: StateLabel, claim: StateLabel, params: ProtocolParams) -> flo
     return -params.win_payout if guess == claim else params.loss_payout
 
 
-def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
-    """Execute one protocol round between an Alice and a Bob strategy."""
+def _play_round(alice, bob, params: ProtocolParams, rng) -> tuple:
+    """Play one round between an Alice and a Bob strategy; returns the
+    RoundRecord fields as a plain tuple."""
     prep = alice.prepare(rng)
     register = RoundRegister(prep.state)
     if params.noise > 0.0:
         register.apply_noise(params.noise, rng)
 
     is_check = rng.random() < params.check_rate
-    bob_view = SubsystemView(register, Subsystem.B, "bob")
-    move = bob.play(bob_view, is_check, rng)
-
-    alice_view = SubsystemView(register, Subsystem.A, "alice")
-    claim = alice.claim(prep.memo, alice_view, move.guess, rng)
+    move = bob.play(SubsystemView(register, _B, "bob"), is_check, rng)
+    guess = move.guess
+    claim = alice.claim(prep.memo, SubsystemView(register, _A, "alice"), guess, rng)
 
     if is_check:
         if move.stored is None:
             raise ProtocolViolation("checking round requires Bob to store the qubit")
         result = bob.verify(move.stored, claim, rng)
-        if result is CheckResult.FAIL:
-            return RoundRecord(
-                RoundType.CHECK, move.guess, claim, result, -params.penalty,
-                Outcome.MINUS,
-            )
-        return RoundRecord(
-            RoundType.CHECK, move.guess, claim, result,
-            _settle(move.guess, claim, params), Outcome.PLUS,
-        )
-    return RoundRecord(
-        RoundType.NORMAL, move.guess, claim, CheckResult.NOT_APPLICABLE,
-        _settle(move.guess, claim, params), move.outcome,
-    )
+        if result is _FAIL:
+            return _CHECK, guess, claim, result, -params.penalty, _MINUS
+        round_type, outcome = _CHECK, _PLUS
+    else:
+        round_type, result, outcome = _NORMAL, _NOT_APPLICABLE, move.outcome
+    return round_type, guess, claim, result, _settle(guess, claim, params), outcome
+
+
+def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
+    """Execute one protocol round between an Alice and a Bob strategy."""
+    return RoundRecord(*_play_round(alice, bob, params, rng))
 
 
 def run_session(
@@ -352,7 +359,8 @@ def run_session(
 ) -> SessionStats:
     """Run rounds sequentially, stopping early if the abort rule triggers.
 
-    `on_round`, when given, receives every RoundRecord (transcript hook).
+    `on_round`, when given, receives every RoundRecord (transcript hook);
+    without it no record is built.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
@@ -360,20 +368,22 @@ def run_session(
     total_sq = 0.0
     checks = fails = wins = played = 0
     aborted = False
+    abort_threshold = params.abort_threshold
     for _ in range(n_rounds):
-        rec = run_round(alice, bob, params, rng)
+        values = _play_round(alice, bob, params, rng)
+        round_type, guess, claim, result, transfer, _ = values
         played += 1
-        total += rec.transfer
-        total_sq += rec.transfer * rec.transfer
-        if rec.round_type is RoundType.CHECK:
+        total += transfer
+        total_sq += transfer * transfer
+        if round_type is _CHECK:
             checks += 1
-            if rec.check_result is CheckResult.FAIL:
+            if result is _FAIL:
                 fails += 1
-        elif rec.bob_guess == rec.alice_claim:
+        elif guess == claim:
             wins += 1
         if on_round is not None:
-            on_round(rec)
-        if checks >= MIN_CHECKS_FOR_ABORT and fails > params.abort_threshold * checks:
+            on_round(RoundRecord(*values))
+        if checks >= MIN_CHECKS_FOR_ABORT and fails > abort_threshold * checks:
             aborted = True
             break
     return SessionStats(played, total, total_sq, checks, fails, wins, aborted)

@@ -433,6 +433,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_cheat_gain(0.1, 100.0, [], [0.0])
 
+    def test_numpy_grids_match_lists(self):
+        thetas, phis = np.linspace(0.0, 1.0, 3), np.array([0.0, 0.5])
+        from_numpy = sweep_cheat_gain(0.1, 100.0, thetas, phis)
+        from_lists = sweep_cheat_gain(0.1, 100.0, thetas.tolist(), phis.tolist())
+        assert from_numpy == from_lists
+        with pytest.raises(ValueError):
+            sweep_cheat_gain(0.1, 100.0, np.array([]), phis)
+        with pytest.raises(ValueError):
+            sweep_cheat_gain(0.1, 100.0, thetas, np.array([]))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_angles(self, bad):
         with pytest.raises(ValueError):

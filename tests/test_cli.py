@@ -216,6 +216,83 @@ def test_large_penalty_reports_check_rows(args):
     assert any(r["section"] == "check" for r in doc["rows"])
 
 
+def _shift_closed_form(monkeypatch, relative):
+    """Move every closed-form gain by `relative` times max(1, |gain|)."""
+    real = analysis.cheat_gain_exact
+
+    def shifted(theta, check_rate, penalty, claim):
+        g = real(theta, check_rate, penalty, claim)
+        return analysis.GainBreakdown.from_terms(
+            g.normal_term + relative * max(1.0, abs(g.total)), g.detect_term, g.pass_term
+        )
+
+    monkeypatch.setattr(analysis, "cheat_gain_exact", shifted)
+
+
+class TestExactTolerance:
+    """Rows comparing two exact routes allow 1e-12 times the compared
+    magnitude, and never less than 1e-12: an ulp at gains of order r*R is no
+    failure, a real gap still is."""
+
+    CASES = [
+        (("cheat", "-r", "0.5", "-R", "1e6", "--theta", "1.0"), "closed_form_matches_oracle", 1e-9),
+        (("verify", "-R", "1e8"), "closed_form_matches_oracle_grid", 1e-9),
+        (("sweep", "-r", "0.3", "-R", "1e5", "--theta-max", "3.1"), "max_in_zx_plane", -1e-9),
+    ]
+
+    @pytest.mark.parametrize("args, name, _", CASES)
+    def test_large_magnitude_rows_pass(self, args, name, _):
+        result = run_cli(*args)
+        assert result.exit_code == 0, result.output
+        rows = {r["name"]: r for r in json.loads(result.output)["rows"]
+                if r["section"] == "check"}
+        assert rows[name]["passed"] is True
+
+    @pytest.mark.parametrize("args, name, shift", CASES)
+    def test_tampered_gap_fails(self, monkeypatch, args, name, shift):
+        _shift_closed_form(monkeypatch, shift)
+        result = run_cli(*args)
+        assert result.exit_code == 1, result.output
+        rows = {r["name"]: r for r in json.loads(result.output)["rows"]
+                if r["section"] == "check"}
+        assert rows[name]["passed"] is False
+
+    @pytest.mark.parametrize("relative, failing", [(1e-13, 0), (1e-9, 50)])
+    def test_gain_ceiling_slack_scales(self, monkeypatch, relative, failing):
+        # A ceiling just under the closed-form gain (which the oracle matches
+        # to an ulp) by `relative` times the magnitude.
+        def ceiling(theta, check_rate, penalty, claim):
+            total = analysis.cheat_gain_exact(theta, check_rate, penalty, claim).total
+            return total - relative * max(1.0, abs(total))
+
+        monkeypatch.setattr(analysis, "claim_gain_upper_bound", ceiling)
+        result = run_cli("verify", "-R", "1e8")
+        names = [r["name"] for r in json.loads(result.output)["rows"]
+                 if r["section"] == "check"]
+        assert sum(n.startswith("gain_ceiling[") for n in names) == failing
+
+    def test_slack_is_absolute_up_to_magnitude_one(self):
+        assert analysis.exact_tolerance(0.5, -1.0) == 1e-12
+        assert analysis.exact_tolerance(-4096.0, 2.0) == 4096.0 * 1e-12
+
+    def test_in_plane_check_flags_large_magnitude_gap(self):
+        rate, penalty = 0.3, 1e5
+        result = analysis.sweep_cheat_gain(rate, penalty, [0.3, 2.5], [0.0, 1.0])
+        assert all_thetas_peak_in_plane(result, rate, penalty)
+        row = result.rows[-1]
+        in_plane = max(
+            analysis.cheat_gain_exact(polar, rate, penalty, claim).total
+            for polar in (row.theta, -row.theta)
+            for claim in StateLabel
+        )
+        assert abs(in_plane) > 1e3
+        lift = in_plane + 1e-9 * abs(in_plane) - row.gain.total
+        raised = row._replace(gain=analysis.GainBreakdown.from_terms(
+            row.gain.normal_term + lift, row.gain.detect_term, row.gain.pass_term))
+        tampered = result._replace(rows=result.rows[:-1] + (raised,))
+        assert not all_thetas_peak_in_plane(tampered, rate, penalty)
+
+
 class TestEntangleCommand:
     def test_reductions_and_weights(self):
         result = run_cli("entangle", "-R", "10000")

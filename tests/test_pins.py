@@ -1,9 +1,13 @@
-"""Exact pins on seeded engine sessions and oracle branches.
+"""Exact pins on seeded engine sessions, their round streams and oracle
+branches.
 
 The pinned values are what the engine and the oracle produce today, float
 for float.  Faster state construction or measurement must keep the same
 arithmetic: a change that moves a bit here changes what a seed reproduces.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -14,13 +18,15 @@ from qgamble.protocol import (
     RoundType,
     SessionStats,
     StateLabel,
+    run_round,
     run_session,
     session_rng,
 )
-from qgamble.qubits import BASIS_X, BASIS_Z
+from qgamble.qubits import BASIS_X, BASIS_Z, Ensemble, state_from_bloch
 from qgamble.strategies import (
     CheatPoint,
     ClaimPolicy,
+    ensemble_cheat,
     entangled_cheat,
     fixed_state_cheat,
     honest_alice,
@@ -154,3 +160,92 @@ def test_noisy_entangled_oracle_branches():
         for b in oracle_round_branches(alice, params)
     ]
     assert got == PINNED_BRANCHES
+
+
+def _stream_digest(records) -> str:
+    """sha256 over each record's row plus Bob's measurement outcome."""
+    digest = hashlib.sha256()
+    for rec in records:
+        row = rec.as_row()
+        outcome = rec.bob_measurement_outcome
+        row["bob_measurement_outcome"] = None if outcome is None else outcome.value
+        digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _ensemble():
+    members = Ensemble(((0.35, state_from_bloch(0.4, 0.0)), (0.65, state_from_bloch(1.2, 0.3))))
+    return ensemble_cheat(members, [ZERO, PLUS])
+
+
+# Every stream is 2,000 rounds long unless the abort rule ends it.
+STREAMS = {
+    "honest_checks": (honest_alice, ProtocolParams(0.2, 100.0), 31),
+    "entangled_zx": (
+        lambda: entangled_cheat({ZERO: BASIS_Z, PLUS: BASIS_X}),
+        ProtocolParams(0.1, 100.0, abort_threshold=1.0),
+        32,
+    ),
+    "noisy_fixed": (
+        lambda: fixed_state_cheat(CheatPoint(0.3, 0.7, ClaimPolicy.ZERO)),
+        ProtocolParams(0.1, 100.0, noise=0.1, abort_threshold=1.0),
+        33,
+    ),
+    "ensemble": (_ensemble, ProtocolParams(0.15, 50.0, abort_threshold=1.0), 34),
+    "noisy_abort": (
+        lambda: entangled_cheat({lab: BASIS_Z for lab in StateLabel}),
+        ProtocolParams(0.2, 20.0, noise=0.3),
+        35,
+    ),
+}
+
+# (records, sha256 of the stream)
+PINNED_STREAMS = {
+    "honest_checks": (
+        2000,
+        "49bda824808b49e3d9101a180ddcfffa19a7b1dc367611a4aa47cd1784f31cc5",
+    ),
+    "entangled_zx": (
+        2000,
+        "82b486218eccbbe361ac2e7f1fbf1e585ffaa84e2a84daf23a00a27f3265f9d3",
+    ),
+    "noisy_fixed": (
+        2000,
+        "8dbacbc9f5fdcce89df8977688b782c73cc746ffe090c4177b62599f3d95e2d9",
+    ),
+    "ensemble": (
+        2000,
+        "77673ada8e21e621f1b8de9d78c819925742d433ca5ac7c0ab11930ca0efcb14",
+    ),
+    "noisy_abort": (
+        498,
+        "ac8a44e32bf3f9844cc5b327b3f9ead1cfcdf8ff23767d6fbcdf36d2d6219e31",
+    ),
+}
+
+PINNED_RUN_ROUND = (
+    200,
+    "c09b8bab242bd985e42c113ba456363907c1421be3fffffe15742ef67a6f0856",
+)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_seeded_round_stream(name):
+    make_alice, params, seed = STREAMS[name]
+    records = []
+    run_session(
+        make_alice(), honest_bob(params.check_rate), params, 2_000, session_rng(seed),
+        on_round=records.append,
+    )
+    assert (len(records), _stream_digest(records)) == PINNED_STREAMS[name]
+    assert all(rec.settlement_ok(params) for rec in records)
+
+
+def test_run_round_stream():
+    params = ProtocolParams(0.3, 50.0, noise=0.1)
+    alice = entangled_cheat({ZERO: BASIS_Z, PLUS: BASIS_X})
+    bob = honest_bob(params.check_rate)
+    rng = session_rng(36)
+    records = [run_round(alice, bob, params, rng) for _ in range(200)]
+    assert (len(records), _stream_digest(records)) == PINNED_RUN_ROUND
+    assert all(rec.settlement_ok(params) for rec in records)

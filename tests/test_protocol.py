@@ -45,9 +45,11 @@ from qgamble.strategies import (
     ClaimPolicy,
     Preparation,
     ensemble_cheat,
+    entangled_cheat,
     fixed_state_cheat,
     honest_alice,
     honest_bob,
+    standard_attack_state,
 )
 
 RNG = np.random.default_rng
@@ -216,6 +218,70 @@ class TestRunRound:
 
         with pytest.raises(ProtocolViolation):
             run_round(honest_alice(), GreedyBob(), params, RNG(17))
+
+    def test_entangled_alice_measures_kept_half_once(self):
+        params = default_params()
+
+        class GreedyAlice(AliceStrategy):
+            def prepare(self, rng):
+                return Preparation(standard_attack_state())
+
+            def claim(self, memo, own_view, bob_guess, rng):
+                own_view.measure(BASIS_Z, rng)
+                own_view.measure(BASIS_Z, rng)
+                return StateLabel.ZERO
+
+        with pytest.raises(ProtocolViolation, match="subsystem A was already measured"):
+            run_round(GreedyAlice(), honest_bob(params.check_rate), params, RNG(18))
+
+    def test_bob_naming_alices_half_rejected(self):
+        params = default_params(check_rate=0.001)
+
+        class PeekingBob:
+            def play(self, received, is_check, rng):
+                received.measure(BASIS_Z, rng, which=Subsystem.A)
+                return BobMove(StateLabel.ZERO, None, Outcome.PLUS)
+
+            def verify(self, stored, claim, rng):
+                return CheckResult.PASS
+
+        alice = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
+        with pytest.raises(ProtocolViolation, match="bob attempted to measure subsystem A"):
+            run_round(alice, PeekingBob(), params, RNG(19))
+
+    def test_stored_qubit_measured_before_verify_rejected(self):
+        params = default_params(check_rate=0.999)
+
+        class EagerBob:
+            def __init__(self):
+                self.inner = honest_bob(params.check_rate)
+
+            def play(self, received, is_check, rng):
+                received.measure(BASIS_Z, rng)
+                return BobMove(StateLabel.ZERO, received if is_check else None, Outcome.PLUS)
+
+            def verify(self, stored, claim, rng):
+                return self.inner.verify(stored, claim, rng)
+
+        rng = RNG(20)
+        with pytest.raises(ProtocolViolation, match="subsystem B was already measured"):
+            for _ in range(20):
+                run_round(honest_alice(), EagerBob(), params, rng)
+
+    def test_check_round_without_stored_qubit_rejected(self):
+        params = default_params(check_rate=0.999)
+
+        class ForgetfulBob:
+            def play(self, received, is_check, rng):
+                return BobMove(StateLabel.ZERO, None, None)
+
+            def verify(self, stored, claim, rng):
+                return CheckResult.PASS
+
+        rng = RNG(21)
+        with pytest.raises(ProtocolViolation, match="requires Bob to store the qubit"):
+            for _ in range(20):
+                run_round(honest_alice(), ForgetfulBob(), params, rng)
 
 
 class TestNoise:
