@@ -1,10 +1,12 @@
-"""Entanglement attacks: delaying the choice does not help.
+"""Entanglement attacks: the four built-in z/x policies do not beat honest play.
 
 Instead of committing to a state, Alice can keep half of an entangled
 pair and measure her half only after hearing Bob's guess.  Her kept qubit
-steers Bob's, but never changes his reduced state; and the measurement
-that steers onto anything other than the two legal states walks straight
-into the verification penalty.
+steers Bob's, but never changes his reduced state.  On the standard
+attack state, the x measurement steers onto tilted states that walk into
+the verification penalty.  This demo checks only those four z/x policies
+on that one state; other states and bases do beat the cap (ROADMAP
+item 1).
 """
 
 import math
@@ -66,4 +68,6 @@ da = oracle_transcript_distribution(z_attack, params)
 db = oracle_transcript_distribution(honest_alice(), params)
 dist = max(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in set(da) | set(db))
 print(f"  max transcript-probability difference vs honest: {dist:.2e}")
-print("\nDelaying the commitment buys nothing; deviating from it loses coins.")
+print("\nAmong these four policies, delaying the commitment buys nothing and")
+print("deviating from it loses coins.  Other entangled states and bases are")
+print("not covered here, and some of them beat the cap.")

@@ -51,7 +51,6 @@ from .protocol import (
     RoundType,
     SessionStats,
     StateLabel,
-    apply_noise,
     run_round,
     run_session,
     run_session_fast,

@@ -32,8 +32,8 @@ from .protocol import (
 )
 from .qubits import (
     BASIS_DISCRIM,
+    PAULI_AXES,
     Outcome,
-    PureQubit,
     Subsystem,
     TwoQubitPure,
     apply_pauli,
@@ -220,8 +220,8 @@ def optimal_check_rate(penalty: float) -> CheckRatePolicy:
 
     The resulting cap on Alice's gain scales as 1/sqrt(penalty).
     """
-    if penalty <= 0.0:
-        raise ValueError(f"penalty must be positive, got {penalty}")
+    if not (math.isfinite(penalty) and penalty > 0.0):
+        raise ValueError(f"penalty must be positive and finite, got {penalty}")
     p, _, slope = protocol_constants()
     c = slope / (1.0 - p)
     rate = c / math.sqrt(3.0 * penalty)
@@ -303,22 +303,19 @@ class RoundBranch(NamedTuple):
     transfer: float
 
 
-def _noise_variants_pure(state: PureQubit, eps: float):
+def _noise_variants(state, eps: float, pauli):
+    """The Pauli channel's branches as (weight, state) pairs; `pauli(state,
+    axis)` applies one Pauli to the transmitted qubit."""
     if eps == 0.0:
         yield 1.0, state
         return
     yield 1.0 - eps, state
-    for axis in ("x", "y", "z"):
-        yield eps / 3.0, apply_pauli(state, axis)
+    for axis in PAULI_AXES:
+        yield eps / 3.0, pauli(state, axis)
 
 
-def _noise_variants_pair(state: TwoQubitPure, eps: float):
-    if eps == 0.0:
-        yield 1.0, state
-        return
-    yield 1.0 - eps, state
-    for axis in ("x", "y", "z"):
-        yield eps / 3.0, apply_pauli_pair(state, Subsystem.B, axis)
+def _pauli_on_b(state: TwoQubitPure, axis: str) -> TwoQubitPure:
+    return apply_pauli_pair(state, Subsystem.B, axis)
 
 
 def _product_branches(
@@ -326,7 +323,7 @@ def _product_branches(
 ) -> Iterable[RoundBranch]:
     r = params.check_rate
     for weight, member, claim in model.members:
-        for nw, state in _noise_variants_pure(member, params.noise):
+        for nw, state in _noise_variants(member, params.noise, apply_pauli):
             w = weight * nw
             p_plus = overlap(BASIS_DISCRIM.plus, state)
             for guess, q in (
@@ -365,7 +362,7 @@ def _entangled_branches(
     model: EntangledModel, params: ProtocolParams
 ) -> Iterable[RoundBranch]:
     r = params.check_rate
-    for nw, state in _noise_variants_pair(model.state, params.noise):
+    for nw, state in _noise_variants(model.state, params.noise, _pauli_on_b):
         # Normal rounds: Bob measures his half first, then Alice measures
         # hers in the basis picked by his announced guess.
         bob_sides = project_subsystem(state, Subsystem.B, BASIS_DISCRIM)

@@ -32,16 +32,18 @@ from .qubits import (
     KET_0,
     KET_PLUS,
     OPTIMAL_GUESS_PROB,
+    PAULI_AXES,
+    Ensemble,
     MeasurementBasis,
     Outcome,
     PureQubit,
     Subsystem,
     TwoQubitPure,
+    _bloch_xyz,
     apply_pauli,
     apply_pauli_pair,
     measure,
     measure_subsystem,
-    overlap,
 )
 
 __all__ = [
@@ -57,7 +59,6 @@ __all__ = [
     "RoundRegister",
     "SubsystemView",
     "BobMove",
-    "apply_noise",
     "run_round",
     "run_session",
     "run_session_fast",
@@ -71,8 +72,6 @@ DEFAULT_LOSS_PAYOUT = OPTIMAL_GUESS_PROB / (1.0 - OPTIMAL_GUESS_PROB)
 
 #: The abort rule only engages once this many checking rounds have been seen.
 MIN_CHECKS_FOR_ABORT = 100
-
-_PAULI_AXES = ("x", "y", "z")
 
 
 class StateLabel(Enum):
@@ -251,7 +250,7 @@ class RoundRegister:
         """Pauli channel on the transmitted subsystem (B), in transit."""
         if eps == 0.0 or rng.random() >= eps:
             return
-        axis = _PAULI_AXES[rng.integers(3)]
+        axis = PAULI_AXES[rng.integers(3)]
         if isinstance(self._state, TwoQubitPure):
             self._state = apply_pauli_pair(self._state, Subsystem.B, axis)
         else:
@@ -304,15 +303,6 @@ class SubsystemView:
         return self._register.measure(
             self._which if which is None else which, basis, rng, self._actor
         )
-
-
-def apply_noise(state: PureQubit, eps: float, rng) -> PureQubit:
-    """With probability eps apply a uniformly chosen Pauli, else pass through."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"noise rate must lie in [0, 1), got {eps}")
-    if eps == 0.0 or rng.random() >= eps:
-        return state
-    return apply_pauli(state, _PAULI_AXES[rng.integers(3)])
 
 
 def _settle(guess: StateLabel, claim: StateLabel, params: ProtocolParams) -> float:
@@ -389,20 +379,6 @@ def run_session(
     return SessionStats(played, total, total_sq, checks, fails, wins, aborted)
 
 
-def _noisy_members(
-    members: Sequence[tuple[float, PureQubit, StateLabel]], eps: float
-) -> list[tuple[float, PureQubit, StateLabel]]:
-    """Fold the Pauli channel into the preparation mixture."""
-    if eps == 0.0:
-        return list(members)
-    out = []
-    for w, s, lab in members:
-        out.append((w * (1.0 - eps), s, lab))
-        for axis in _PAULI_AXES:
-            out.append((w * eps / 3.0, apply_pauli(s, axis), lab))
-    return out
-
-
 def run_session_fast(
     members: Sequence[tuple[float, PureQubit, StateLabel]],
     params: ProtocolParams,
@@ -412,9 +388,9 @@ def run_session_fast(
     """Count-level session against honest Bob for unentangled preparations.
 
     `members` lists Alice's per-round preparation mixture as
-    (weight, state, claim label) triples with weights summing to 1; the
-    claim may not depend on Bob's guess (true of every unentangled
-    built-in strategy).
+    (weight, state, claim label) triples; the weights must form a
+    probability distribution, as in `Ensemble`.  The claim may not depend
+    on Bob's guess (true of every unentangled built-in strategy).
 
     Rounds are i.i.d. and the ledger depends on them only through five
     class counts: normal win, normal loss, check fail, check-pass win and
@@ -428,24 +404,8 @@ def run_session_fast(
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
-    members = _noisy_members(members, params.noise)
-    weights = np.array([w for w, _, _ in members])
-    # Probability Bob's announced guess matches the member's claim in a
-    # normal round: the discrimination outcome pointing at the claim.
-    win_p = np.array(
-        [
-            overlap(BASIS_DISCRIM.plus, s)
-            if lab is StateLabel.ZERO
-            else overlap(BASIS_DISCRIM.minus, s)
-            for _, s, lab in members
-        ]
-    )
-    fail_p = np.array(
-        [overlap(lab.verification_basis.minus, s) for _, s, lab in members]
-    )
-    # Overlaps can exceed 1 by an ulp.
-    win = min(max(float(weights @ win_p), 0.0), 1.0)
-    fail = min(max(float(weights @ fail_p), 0.0), 1.0)
+    Ensemble(tuple((w, s) for w, s, _ in members))  # raises unless a distribution
+    win, fail = _class_probabilities(members, params.noise)
 
     if params.abort_threshold >= 1.0:
         kept, aborted = n_rounds, False
@@ -471,6 +431,44 @@ def run_session_fast(
         bob_wins=wins,
         aborted=aborted,
     )
+
+
+# Per claim, the Bloch vectors of the projector whose outcome is a Bob win
+# in a normal round (the discrimination outcome pointing at the claim) and
+# of the one that convicts in a check (the claim's verification minus).
+_WIN_AXIS = {
+    StateLabel.ZERO: _bloch_xyz(BASIS_DISCRIM.plus),
+    StateLabel.PLUS: _bloch_xyz(BASIS_DISCRIM.minus),
+}
+_FAIL_AXIS = {lab: _bloch_xyz(lab.verification_basis.minus) for lab in StateLabel}
+
+
+def _class_probabilities(
+    members: Sequence[tuple[float, PureQubit, StateLabel]], eps: float
+) -> tuple[float, float]:
+    """Probabilities of a Bob win in a normal round and of a failed check.
+
+    Both are linear in each claim's weighted Bloch vector
+    sigma_c = sum of w_k v_k over the members claiming c: a projector with
+    Bloch vector n fires with probability (t_c + n.sigma_c)/2, where t_c is
+    the claim's total weight.  The Pauli channel of rate eps scales every
+    Bloch vector by 1 - 4 eps/3 (the depolarizing channel).
+    """
+    sigma = dict.fromkeys(_WIN_AXIS, (0.0, 0.0, 0.0, 0.0))  # claim: (t_c, sigma_c)
+    for w, s, lab in members:
+        vx, vy, vz = _bloch_xyz(s)
+        t, x, y, z = sigma[lab]
+        sigma[lab] = (t + w, x + w * vx, y + w * vy, z + w * vz)
+    shrink = 1.0 - 4.0 * eps / 3.0
+    win = fail = 0.0
+    for claim, (t, x, y, z) in sigma.items():
+        x, y, z = shrink * x, shrink * y, shrink * z
+        nx, ny, nz = _WIN_AXIS[claim]
+        win += 0.5 * (t + nx * x + ny * y + nz * z)
+        nx, ny, nz = _FAIL_AXIS[claim]
+        fail += 0.5 * (t + nx * x + ny * y + nz * z)
+    # Rounding can carry either sum an ulp outside [0, 1].
+    return min(max(win, 0.0), 1.0), min(max(fail, 0.0), 1.0)
 
 
 #: Check rounds drawn per step of `_walk_checks`.

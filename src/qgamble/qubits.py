@@ -42,6 +42,7 @@ __all__ = [
     "ensemble_average_bloch",
     "apply_pauli",
     "apply_pauli_pair",
+    "PAULI_AXES",
     "tensor_product",
     "basis_from_bloch_angle",
     "KET_0",
@@ -66,6 +67,9 @@ ATOL_DERIVED = 1e-9
 _PHASE_CUTOFF = 1e-9
 
 PauliAxis = Literal["x", "y", "z"]
+
+#: The three Pauli axes, in the order noise draws index them.
+PAULI_AXES: tuple[PauliAxis, ...] = ("x", "y", "z")
 
 
 class Outcome(Enum):
@@ -235,13 +239,14 @@ def state_from_bloch(polar: float, azimuth: float) -> PureQubit:
     return PureQubit(math.cos(half), cmath.exp(1j * azimuth) * math.sin(half))
 
 
-def bloch_from_state(state: PureQubit) -> BlochVector:
+def _bloch_xyz(state: PureQubit) -> tuple[float, float, float]:
+    """Bloch components of a pure state, without building a BlochVector."""
     cross = state.amp0.conjugate() * state.amp1
-    return BlochVector(
-        2.0 * cross.real,
-        2.0 * cross.imag,
-        abs(state.amp0) ** 2 - abs(state.amp1) ** 2,
-    )
+    return 2.0 * cross.real, 2.0 * cross.imag, abs(state.amp0) ** 2 - abs(state.amp1) ** 2
+
+
+def bloch_from_state(state: PureQubit) -> BlochVector:
+    return BlochVector(*_bloch_xyz(state))
 
 
 def bloch_angles(v: BlochVector) -> tuple[float, float]:
@@ -369,45 +374,35 @@ def ensemble_average_bloch(ensemble: Ensemble) -> BlochVector:
     )
 
 
+def _pauli(axis: PauliAxis, a0: complex, a1: complex) -> tuple[complex, complex]:
+    """The Pauli matrix of `axis` applied to one amplitude pair."""
+    if axis == "x":
+        return a1, a0
+    if axis == "y":
+        return -1j * a1, 1j * a0
+    if axis == "z":
+        return a0, -a1
+    raise ValueError(f"unknown Pauli axis {axis!r}")
+
+
 def apply_pauli(state: PureQubit, axis: PauliAxis) -> PureQubit:
     """Standard Pauli action; involutive up to global phase."""
-    a0, a1 = state.amp0, state.amp1
-    if axis == "x":
-        return PureQubit(a1, a0)
-    if axis == "y":
-        return PureQubit(-1j * a1, 1j * a0)
-    if axis == "z":
-        return PureQubit(a0, -a1)
-    raise ValueError(f"unknown Pauli axis {axis!r}")
+    return PureQubit(*_pauli(axis, state.amp0, state.amp1))
 
 
 def apply_pauli_pair(
     state: TwoQubitPure, which: Subsystem, axis: PauliAxis
 ) -> TwoQubitPure:
-    """Pauli on one factor of a two-qubit state (identity on the other)."""
-    m = [[state.amp(0, 0), state.amp(0, 1)], [state.amp(1, 0), state.amp(1, 1)]]
-    if which is Subsystem.B:
-        rows = []
-        for r in m:
-            if axis == "x":
-                rows.append([r[1], r[0]])
-            elif axis == "y":
-                rows.append([-1j * r[1], 1j * r[0]])
-            elif axis == "z":
-                rows.append([r[0], -r[1]])
-            else:
-                raise ValueError(f"unknown Pauli axis {axis!r}")
-        m = rows
-    else:
-        if axis == "x":
-            m = [m[1], m[0]]
-        elif axis == "y":
-            m = [[-1j * a for a in m[1]], [1j * a for a in m[0]]]
-        elif axis == "z":
-            m = [m[0], [-a for a in m[1]]]
-        else:
-            raise ValueError(f"unknown Pauli axis {axis!r}")
-    return TwoQubitPure((m[0][0], m[0][1], m[1][0], m[1][1]))
+    """Pauli on one factor of a two-qubit state (identity on the other).
+
+    On B it acts on each row (A fixed) of the amplitude table; on A, on
+    each column (B fixed)."""
+    s00, s01, s10, s11 = state.amps
+    if which is _A:
+        t00, t10 = _pauli(axis, s00, s10)
+        t01, t11 = _pauli(axis, s01, s11)
+        return TwoQubitPure((t00, t01, t10, t11))
+    return TwoQubitPure(_pauli(axis, s00, s01) + _pauli(axis, s10, s11))
 
 
 def tensor_product(a: PureQubit, b: PureQubit) -> TwoQubitPure:

@@ -12,6 +12,7 @@ NonEnumerableStrategyError there.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -143,22 +144,6 @@ class BobStrategy(abc.ABC):
         ...
 
 
-class _HonestAlice(AliceStrategy):
-    """Sends |0> or |+> with probability 1/2 each and always claims truthfully."""
-
-    def prepare(self, rng) -> Preparation:
-        label = _ZERO if rng.random() < 0.5 else _PLUS
-        return Preparation(label.state, label)
-
-    def claim(self, memo, own_view, bob_guess, rng) -> StateLabel:
-        return memo
-
-    def branch_model(self) -> ProductModel:
-        return ProductModel(
-            ((0.5, KET_0, StateLabel.ZERO), (0.5, KET_PLUS, StateLabel.PLUS))
-        )
-
-
 class _HonestBob(BobStrategy):
     """Plays the optimal discrimination measurement; verifies claims faithfully.
 
@@ -184,41 +169,24 @@ class _HonestBob(BobStrategy):
         return _FAIL if outcome is _OUTCOME_MINUS else _PASS
 
 
-class _FixedStateCheat(AliceStrategy):
-    """Prepares the same qubit every round and claims a fixed label."""
-
-    def __init__(self, state: PureQubit, claim_label: StateLabel):
-        self.state = state
-        self.claim_label = claim_label
-
-    def prepare(self, rng) -> Preparation:
-        return Preparation(self.state)
-
-    def claim(self, memo, own_view, bob_guess, rng) -> StateLabel:
-        return self.claim_label
-
-    def branch_model(self) -> ProductModel:
-        return ProductModel(((1.0, self.state, self.claim_label),))
-
-
-class _EnsembleCheat(AliceStrategy):
-    """Samples a member state per round; claims that member's assigned label."""
+class _ProductAlice(AliceStrategy):
+    """Samples a member of a finite preparation mixture per round and claims
+    that member's label.  A lone member is sent without a draw."""
 
     def __init__(self, members: tuple[tuple[float, PureQubit, StateLabel], ...]):
         self.members = members
-        self._cum = []
-        acc = 0.0
-        for w, _, _ in members:
-            acc += w
-            self._cum.append(acc)
+        self._preps = tuple(Preparation(state, label) for _, state, label in members)
+        self._edges = tuple(itertools.accumulate(w for w, _, _ in members))
 
     def prepare(self, rng) -> Preparation:
+        preps = self._preps
+        if len(preps) == 1:
+            return preps[0]
         u = rng.random()
-        for (w, state, label), edge in zip(self.members, self._cum):
+        for prep, edge in zip(preps, self._edges):
             if u < edge:
-                return Preparation(state, label)
-        state, label = self.members[-1][1], self.members[-1][2]
-        return Preparation(state, label)
+                return prep
+        return preps[-1]
 
     def claim(self, memo, own_view, bob_guess, rng) -> StateLabel:
         return memo
@@ -267,7 +235,8 @@ DEFAULT_OUTCOME_LABELS: dict[Outcome, StateLabel] = {
 
 
 def honest_alice() -> AliceStrategy:
-    return _HonestAlice()
+    """Sends |0> or |+> with probability 1/2 each and always claims truthfully."""
+    return _ProductAlice(((0.5, KET_0, _ZERO), (0.5, KET_PLUS, _PLUS)))
 
 
 def honest_bob(check_rate: float) -> BobStrategy:
@@ -289,7 +258,7 @@ def fixed_state_cheat(point: CheatPoint) -> AliceStrategy:
         label = StateLabel.PLUS
     else:
         label = _nearest_label(state)
-    return _FixedStateCheat(state, label)
+    return _ProductAlice(((1.0, state, label),))
 
 
 def ensemble_cheat(
@@ -301,7 +270,7 @@ def ensemble_cheat(
     members = tuple(
         (w, s, lab) for (w, s), lab in zip(ensemble.entries, claims)
     )
-    return _EnsembleCheat(members)
+    return _ProductAlice(members)
 
 
 def standard_attack_state() -> TwoQubitPure:

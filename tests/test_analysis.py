@@ -212,8 +212,9 @@ class TestCheckRatePolicy:
         )
 
     def test_rejects_bad_penalty(self):
-        with pytest.raises(ValueError):
-            optimal_check_rate(0.0)
+        for penalty in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                optimal_check_rate(penalty)
 
 
 class TestPosterior:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qgamble.analysis import (
     monte_carlo_gain,
     optimal_check_rate,
     oracle_expected_gain,
+    oracle_transcript_distribution,
 )
 from qgamble.protocol import (
     DEFAULT_LOSS_PAYOUT,
@@ -19,19 +21,22 @@ from qgamble.protocol import (
     CheckResult,
     ProtocolParams,
     ProtocolViolation,
+    RoundRegister,
     RoundType,
     SessionStats,
     StateLabel,
-    apply_noise,
     run_round,
     run_session,
     run_session_fast,
     session_rng,
 )
 from qgamble.qubits import (
+    BASIS_X,
     BASIS_Z,
     KET_0,
     KET_MINUS,
+    KET_PLUS,
+    PAULI_AXES,
     Ensemble,
     Outcome,
     Subsystem,
@@ -285,19 +290,27 @@ class TestRunRound:
 
 
 class TestNoise:
+    """The engine's channel: `RoundRegister.apply_noise` draws a real Pauli
+    error on the transmitted subsystem."""
+
     def test_zero_noise_identity(self):
         rng = RNG(20)
+        before = rng.bit_generator.state
         for _ in range(20):
-            assert apply_noise(KET_0, 0.0, rng) is KET_0
+            register = RoundRegister(KET_0)
+            register.apply_noise(0.0, rng)
+            assert register._state is KET_0
+        assert rng.bit_generator.state == before
 
     def test_full_noise_branch_weights(self):
         # Enumerating the three Pauli branches on |0>: x and y flip, z fixes.
         rng = RNG(21)
         n = 30_000
-        flipped = sum(
-            overlap(apply_noise(KET_0, 1.0 - 1e-12, rng), KET_0) < 0.5
-            for _ in range(n)
-        )
+        flipped = 0
+        for _ in range(n):
+            register = RoundRegister(KET_0)
+            register.apply_noise(1.0 - 1e-12, rng)
+            flipped += register.measure(Subsystem.B, BASIS_Z, rng, "bob") is Outcome.MINUS
         sigma = math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / n)
         assert abs(flipped / n - 2.0 / 3.0) < 5.0 * sigma
 
@@ -310,7 +323,7 @@ class TestNoise:
                 overlap(
                     label.verification_basis.minus, apply_pauli(label.state, ax)
                 )
-                for ax in ("x", "y", "z")
+                for ax in PAULI_AXES
             )
             assert fail == pytest.approx(2.0 * eps / 3.0, abs=1e-12)
         params = default_params(check_rate=0.5, noise=eps, abort_threshold=1.0)
@@ -321,9 +334,55 @@ class TestNoise:
         sigma = math.sqrt(0.2 * 0.8 / stats.check_rounds)
         assert abs(rate - 2.0 * eps / 3.0) < 5.0 * sigma
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            apply_noise(KET_0, 1.0, RNG(23))
+
+#: Upper 1e-4 quantiles of the chi-square distribution, by degrees of
+#: freedom (one less than the number of transcript keys).
+CHI2_1E4 = {5: 25.7448, 7: 29.8775, 11: 37.3670}
+
+_TRANSCRIPT_CASES = (
+    ("honest", honest_alice, 0.0),
+    ("fixed", lambda: fixed_state_cheat(CheatPoint(0.5, 0.3, ClaimPolicy.ZERO)), 0.0),
+    (
+        "ensemble",
+        lambda: ensemble_cheat(
+            Ensemble(((0.35, state_from_bloch(0.4, 0.0)), (0.65, state_from_bloch(1.2, 0.3)))),
+            [StateLabel.ZERO, StateLabel.PLUS],
+        ),
+        0.0,
+    ),
+    (
+        "noisy_entangled_zx",
+        lambda: entangled_cheat({StateLabel.ZERO: BASIS_Z, StateLabel.PLUS: BASIS_X}),
+        0.1,
+    ),
+)
+
+
+class TestEngineTranscripts:
+    @pytest.mark.parametrize(
+        "index", range(len(_TRANSCRIPT_CASES)), ids=[c[0] for c in _TRANSCRIPT_CASES]
+    )
+    def test_transcripts_fit_oracle(self, index):
+        # The full observable key of every round played by the engine,
+        # against the oracle's exact distribution; the noisy entangled case
+        # runs the engine's pair-noise draws against the oracle's branches.
+        _, make, noise = _TRANSCRIPT_CASES[index]
+        alice = make()
+        params = default_params(check_rate=0.2, penalty=20.0, noise=noise, abort_threshold=1.0)
+        n = 40_000
+        seen = Counter()
+        run_session(
+            alice, honest_bob(0.2), params, n, session_rng(60, index),
+            on_round=lambda rec: seen.update(
+                [(rec.round_type, rec.bob_guess, rec.alice_claim, rec.check_result)]
+            ),
+        )
+        dist = oracle_transcript_distribution(alice, params)
+        assert set(seen) <= set(dist), set(seen) - set(dist)
+        expected = {key: n * p for key, p in dist.items()}
+        assert min(expected.values()) > 50.0
+        chi2 = sum((seen[key] - e) ** 2 / e for key, e in expected.items())
+        assert chi2 < CHI2_1E4[len(dist) - 1], (seen, expected)
 
 
 class TestSession:
@@ -449,6 +508,19 @@ class TestFastSession:
             session_rng(46),
         )
         assert not clean.aborted and clean.check_fails == 0
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [(0.3, KET_0, StateLabel.ZERO)],
+            [],
+            [(-1.0, KET_0, StateLabel.ZERO), (2.0, KET_PLUS, StateLabel.PLUS)],
+        ],
+        ids=["short", "empty", "negative"],
+    )
+    def test_rejects_non_distribution(self, members):
+        with pytest.raises(ValueError):
+            run_session_fast(members, default_params(), 1_000, session_rng(40))
 
     def test_win_rate_near_optimum(self):
         from qgamble.qubits import OPTIMAL_GUESS_PROB

@@ -25,6 +25,7 @@ from qgamble.qubits import (
     KET_MINUS,
     KET_PLUS,
     OPTIMAL_GUESS_PROB,
+    PAULI_AXES,
     BlochVector,
     Ensemble,
     MeasurementBasis,
@@ -355,7 +356,7 @@ class TestPauli:
     @given(pure_qubits())
     @settings(max_examples=100)
     def test_involutive_up_to_phase(self, s):
-        for axis in ("x", "y", "z"):
+        for axis in PAULI_AXES:
             twice = apply_pauli(apply_pauli(s, axis), axis)
             assert overlap(twice, s) == pytest.approx(1.0, abs=1e-12)
 
@@ -371,6 +372,27 @@ class TestPauli:
         assert reduced_bloch(flipped, Subsystem.B).isclose(
             BlochVector(vb.x, -vb.y, -vb.z), tol=1e-12
         )
+
+
+    @given(pure_qubits(), pure_qubits())
+    @settings(max_examples=60)
+    def test_pair_pauli_matches_factor_pauli(self, a, b):
+        pair = tensor_product(a, b)
+        for axis in PAULI_AXES:
+            for which, expect in (
+                (Subsystem.A, tensor_product(apply_pauli(a, axis), b)),
+                (Subsystem.B, tensor_product(a, apply_pauli(b, axis))),
+            ):
+                got = apply_pauli_pair(pair, which, axis)
+                inner = sum(x.conjugate() * y for x, y in zip(got.amps, expect.amps))
+                assert abs(inner) ** 2 == pytest.approx(1.0, abs=1e-12), (which, axis)
+
+    def test_rejects_unknown_axis(self):
+        with pytest.raises(ValueError):
+            apply_pauli(KET_0, "w")
+        for which in Subsystem:
+            with pytest.raises(ValueError):
+                apply_pauli_pair(tensor_product(KET_0, KET_0), which, "w")
 
 
 class TestNormalizationPreserved:
