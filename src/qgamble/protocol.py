@@ -19,6 +19,7 @@ default, which makes normal rounds exactly fair against honest play).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -339,6 +340,76 @@ def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
     return RoundRecord(*_play_round(alice, bob, params, rng))
 
 
+#: Blocks of uniforms a session draws ahead of its rounds: the first holds
+#: _BLOCK_MIN doubles and each next one twice as many, up to _BLOCK_CAP.
+_BLOCK_MIN, _BLOCK_CAP = 16, 1024
+
+
+class _Draws:
+    """Serves a session's uniforms from blocks drawn off its Generator.
+
+    `Generator.random(n)` yields the same doubles as n calls of
+    `Generator.random()`, so a block changes no draw.  The Generator runs
+    ahead of the draws used; `sync` winds it back to exactly where
+    one-at-a-time draws would leave it, by restoring the state saved
+    before the block and replaying the doubles used.  The saved state
+    includes the bit generator's 32-bit buffer, which `random` never
+    touches.  Any other use of the Generator through this object syncs
+    first and then goes to the Generator itself.
+    """
+
+    __slots__ = ("_rng", "_block", "_size", "_saved")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = iter(())
+        self._size = _BLOCK_MIN // 2
+        self._saved = None
+
+    def random(self, size=None, dtype=None, out=None):
+        if size is None and dtype is None and out is None:
+            for u in self._block:
+                return u
+            return self._refill()
+        self.sync()
+        return self._rng.random(size, np.float64 if dtype is None else dtype, out)
+
+    def _refill(self) -> float:
+        rng = self._rng
+        self._saved = rng.bit_generator.state
+        size = self._size = min(2 * self._size, _BLOCK_CAP)
+        self._block = block = iter(rng.random(size).tolist())
+        return next(block)
+
+    def sync(self) -> None:
+        """Put the Generator where one-at-a-time draws would have left it."""
+        left = operator.length_hint(self._block)
+        if left:
+            rng = self._rng
+            rng.bit_generator.state = self._saved
+            rng.random(self._size - left)
+            self._block = iter(())
+
+    def __getattr__(self, name):
+        if name in _Draws.__slots__:
+            raise AttributeError(name)
+        self.sync()
+        return getattr(self._rng, name)
+
+
+def _round_count(n_rounds) -> int:
+    """`n_rounds` as an int; bools, floats and other non-integers raise."""
+    if isinstance(n_rounds, bool):
+        raise TypeError("n_rounds must be an integer")
+    try:
+        n_rounds = operator.index(n_rounds)
+    except TypeError:
+        raise TypeError("n_rounds must be an integer") from None
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be at least 1")
+    return n_rounds
+
+
 def run_session(
     alice,
     bob,
@@ -351,9 +422,32 @@ def run_session(
 
     `on_round`, when given, receives every RoundRecord (transcript hook);
     without it no record is built.
+
+    A noiseless session on a `numpy.random.Generator` draws its uniforms
+    in blocks: the engine and the players receive a wrapper as `rng` that
+    serves the same doubles in the same order as the Generator would.
+    Every other use of that wrapper (`integers`, `normal`, `random(3)`,
+    `bit_generator`, ...) first puts the Generator where one-at-a-time
+    draws would have left it, and so does `run_session` on return and when
+    an exception propagates.  While the session runs, though, the
+    Generator itself is ahead of the draws used: code that draws from the
+    same Generator object other than through the `rng` argument, such as
+    an `on_round` hook or a strategy that kept its own reference to it,
+    sees different numbers than with one-at-a-time draws.  Noisy sessions
+    and other `rng` types draw directly.
     """
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be at least 1")
+    n_rounds = _round_count(n_rounds)
+    draws = None
+    if type(rng) is np.random.Generator and params.noise == 0.0:
+        rng = draws = _Draws(rng)
+    try:
+        return _run_rounds(alice, bob, params, n_rounds, rng, on_round)
+    finally:
+        if draws is not None:
+            draws.sync()
+
+
+def _run_rounds(alice, bob, params, n_rounds, rng, on_round) -> SessionStats:
     total = 0.0
     total_sq = 0.0
     checks = fails = wins = played = 0
@@ -402,8 +496,7 @@ def run_session_fast(
     it.  Time is O(check_rate * n_rounds) and memory does not grow with
     n_rounds.
     """
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be at least 1")
+    n_rounds = _round_count(n_rounds)
     Ensemble(tuple((w, s) for w, s, _ in members))  # raises unless a distribution
     win, fail = _class_probabilities(members, params.noise)
 

@@ -304,7 +304,7 @@ def entangled_cheat(
     missing = [lab for lab in StateLabel if lab not in policy]
     if missing:
         raise ValueError(f"basis policy must cover every guess, missing {missing}")
-    table = dict(label_by_outcome) if label_by_outcome else dict(DEFAULT_OUTCOME_LABELS)
+    table = dict(DEFAULT_OUTCOME_LABELS if label_by_outcome is None else label_by_outcome)
     if any(o not in table for o in Outcome):
         raise ValueError("outcome table must cover both outcomes")
     return _EntangledCheat(state or standard_attack_state(), policy, table)

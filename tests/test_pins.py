@@ -6,6 +6,7 @@ for float.  Faster state construction or measurement must keep the same
 arithmetic: a change that moves a bit here changes what a seed reproduces.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -13,8 +14,10 @@ import pytest
 
 from qgamble.analysis import oracle_round_branches
 from qgamble.protocol import (
+    MIN_CHECKS_FOR_ABORT,
     CheckResult,
     ProtocolParams,
+    ProtocolViolation,
     RoundType,
     SessionStats,
     StateLabel,
@@ -22,10 +25,13 @@ from qgamble.protocol import (
     run_session,
     session_rng,
 )
-from qgamble.qubits import BASIS_X, BASIS_Z, Ensemble, state_from_bloch
+from qgamble.qubits import BASIS_X, BASIS_Z, Ensemble, Subsystem, state_from_bloch
 from qgamble.strategies import (
+    AliceStrategy,
+    BobStrategy,
     CheatPoint,
     ClaimPolicy,
+    Preparation,
     ensemble_cheat,
     entangled_cheat,
     fixed_state_cheat,
@@ -249,3 +255,213 @@ def test_run_round_stream():
     records = [run_round(alice, bob, params, rng) for _ in range(200)]
     assert (len(records), _stream_digest(records)) == PINNED_RUN_ROUND
     assert all(rec.settlement_ok(params) for rec in records)
+
+
+# --------------------------------------------------------------------------
+# How a session consumes its Generator.  `run_round` draws straight from the
+# Generator it is given, so a loop of `run_round` is the reference for which
+# numbers `run_session` uses and where it leaves the caller's Generator.
+
+
+class _LateViolator(BobStrategy):
+    """Honest Bob until round `at`, where he draws once and then measures
+    Alice's subsystem, which the engine rejects."""
+
+    def __init__(self, check_rate: float, at: int):
+        self.inner = honest_bob(check_rate)
+        self.left = at
+
+    def play(self, received, is_check, rng):
+        self.left -= 1
+        if self.left == 0:
+            rng.random()
+            received.measure(BASIS_Z, rng, which=Subsystem.A)
+        return self.inner.play(received, is_check, rng)
+
+    def verify(self, stored, claim, rng):
+        return self.inner.verify(stored, claim, rng)
+
+
+class _MixedDrawAlice(AliceStrategy):
+    """Honest Alice that, every `every` rounds, also draws an integer, an
+    array and a normal from the Generator between her uniform draws."""
+
+    def __init__(self, every: int = 1):
+        self.every = every
+        self.rounds = 0
+
+    def prepare(self, rng):
+        u = rng.random()
+        self.rounds += 1
+        if self.rounds % self.every:
+            label = ZERO if u < 0.5 else PLUS
+            return Preparation(label.state, label)
+        k = rng.integers(5)
+        extra = rng.random(3)
+        shift = rng.normal()
+        label = ZERO if (u + extra[k % 3] + 0.1 * shift) % 1.0 < 0.5 else PLUS
+        return Preparation(label.state, label)
+
+    def claim(self, memo, own_view, bob_guess, rng):
+        return memo
+
+
+# (Alice factory, params, seed); Bob is honest.  "aborting" is a noiseless
+# fixed cheat whose checks fail a third of the time.
+DRAW_SESSIONS = {
+    "honest": (honest_alice, ProtocolParams(0.2, 20.0, abort_threshold=1.0), 41),
+    "fixed": (
+        lambda: fixed_state_cheat(CheatPoint(0.4, 0.0, ClaimPolicy.ZERO)),
+        ProtocolParams(0.1, 50.0, abort_threshold=1.0),
+        42,
+    ),
+    "ensemble": (_ensemble, ProtocolParams(0.15, 50.0, abort_threshold=1.0), 43),
+    "entangled_z": (
+        lambda: entangled_cheat({lab: BASIS_Z for lab in StateLabel}),
+        ProtocolParams(0.1, 100.0),
+        44,
+    ),
+    "entangled_zx": (
+        lambda: entangled_cheat({ZERO: BASIS_Z, PLUS: BASIS_X}),
+        ProtocolParams(0.1, 100.0, abort_threshold=1.0),
+        45,
+    ),
+    "aborting": (
+        lambda: fixed_state_cheat(CheatPoint(1.2, 0.0, ClaimPolicy.ZERO)),
+        ProtocolParams(0.3, 20.0),
+        46,
+    ),
+    "noisy": (
+        lambda: entangled_cheat({ZERO: BASIS_Z, PLUS: BASIS_X}),
+        ProtocolParams(0.2, 20.0, noise=0.05),
+        47,
+    ),
+    "mixed_draws": (_MixedDrawAlice, ProtocolParams(0.2, 20.0), 48),
+    "rare_mixed_draws": (lambda: _MixedDrawAlice(97), ProtocolParams(0.2, 20.0), 51),
+}
+
+DRAW_ROUNDS = (1, 7, 5_000)
+
+
+def _round_loop(alice, bob, params, n_rounds, rng, on_round):
+    """`run_session`'s ledger rules, one `run_round` at a time."""
+    checks = fails = 0
+    for _ in range(n_rounds):
+        rec = run_round(alice, bob, params, rng)
+        on_round(rec)
+        if rec.round_type is CHECK:
+            checks += 1
+            fails += rec.check_result is FAIL
+        if checks >= MIN_CHECKS_FOR_ABORT and fails > params.abort_threshold * checks:
+            return
+
+
+def _after_draws(rng) -> tuple:
+    """The Generator's state, then the next three draws from it."""
+    state = rng.bit_generator.state
+    return state, rng.random(), int(rng.integers(1000)), rng.random()
+
+
+@pytest.mark.parametrize("n_rounds", DRAW_ROUNDS)
+@pytest.mark.parametrize("name", sorted(DRAW_SESSIONS))
+def test_session_draws_like_a_round_loop(name, n_rounds):
+    make_alice, params, seed = DRAW_SESSIONS[name]
+    bob = honest_bob(params.check_rate)
+    records, rng = [], session_rng(seed)
+    run_session(make_alice(), bob, params, n_rounds, rng, on_round=records.append)
+    expected, ref_rng = [], session_rng(seed)
+    _round_loop(make_alice(), bob, params, n_rounds, ref_rng, expected.append)
+    assert records == expected
+    assert _after_draws(rng) == _after_draws(ref_rng)
+
+
+def test_violation_leaves_generator_where_round_loop_does():
+    params = ProtocolParams(0.2, 20.0)
+    rng, ref_rng = session_rng(49), session_rng(49)
+    with pytest.raises(ProtocolViolation, match="bob attempted to measure subsystem A"):
+        run_session(honest_alice(), _LateViolator(0.2, 300), params, 1_000, rng)
+    with pytest.raises(ProtocolViolation, match="bob attempted to measure subsystem A"):
+        _round_loop(
+            honest_alice(), _LateViolator(0.2, 300), params, 1_000, ref_rng, lambda rec: None
+        )
+    assert _after_draws(rng) == _after_draws(ref_rng)
+
+
+def _session_digest(stats, rng) -> str:
+    """sha256 over the stats, the Generator's state and its next three draws."""
+    payload = [None if stats is None else dataclasses.astuple(stats), *_after_draws(rng)]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _pinned_digests(name) -> list[str]:
+    make_alice, params, seed = DRAW_SESSIONS[name]
+    digests = []
+    for n_rounds in DRAW_ROUNDS:
+        rng = session_rng(seed)
+        stats = run_session(make_alice(), honest_bob(params.check_rate), params, n_rounds, rng)
+        digests.append(_session_digest(stats, rng))
+    return digests
+
+
+# sha256 per n_rounds in DRAW_ROUNDS.
+PINNED_DRAWS = {
+    "aborting": [
+        "bf9dc156b16a3efa1be3b58f711200a166b4469183f42277553d5c8028cc2247",
+        "406e96744e37d40a6e7be79a51bd5f3d35805c3361b3c69bf000ff2d60465896",
+        "e1db8b95b895386e309bea1f857ab6bc9f2336b929ecf49703ab03ff5b06d3a9",
+    ],
+    "ensemble": [
+        "409264d415e82850690f6ab911e1a2b37e8d65e0d6e5e3511076dfff897b0e19",
+        "103b31a1c33a7a64e3a160f3adf0e8cbddea7421fdcee2c7fe5cd6d7d10cf692",
+        "a40d17785b5cbf27ca8972736f188e84b4a3c8bffd95be0035b2757a19d743db",
+    ],
+    "entangled_z": [
+        "af2dfea2e0c4cb12a9f32ea0147b1403ad4125153790f00382153073e1eb281d",
+        "32d73e6e0e3054c77f2e1459aac4e0ec4da10ed05c6c0eb788d141d94ccf9405",
+        "ee31a3d0cd06918d23c0f21ce6c51470ce11c33ae29b3ed38f08b7f58d0245dd",
+    ],
+    "entangled_zx": [
+        "ec6eee14725aa83522325f03708ee25a156beb3f1fdd5d5b34f50ea5bbbbe2b7",
+        "27e3cfacf9df4ebaea6f8ffdb11c2191d16639eda29c8007ad453c74ea38cb62",
+        "1868b4ad66cac86ce89e3cf24a80eb2cc2086eb6bf4ebed553f1c64e89010f19",
+    ],
+    "fixed": [
+        "8d405deae4d2e2f569aef01fb79e19d0830dd1de0cf4a7ef37a537f2391e3dfe",
+        "c6c1bea14f9494752743802dbc24867bfd24d1c35a418bd99c733ef65169e6fb",
+        "aaa045097b19ba39da05446afebb7a317f8c9d4e2d58be5e00c0ffd76e92283d",
+    ],
+    "honest": [
+        "980cf271add520f734f759b7b89047eb7d117fd9f2b32189ca57dcb9f5300e4e",
+        "81559ee13d328adc2d69d74fff958d701eab96a2e76b8ba859624e729469394c",
+        "340583f5af71659b0e468ea5bfd128d0b36d800760c4c6a88847f5b814097fd5",
+    ],
+    "mixed_draws": [
+        "0df62742d143ad9411d9a60747bf551b6994d7667ca155fb2947bb4f42d3eacc",
+        "c02660abb0eb3c0ed0dac841f5f8b583baf5d9fde932afb77998feba36adb2bb",
+        "352e790e547dac8a7800f97005db5bc9e74d6d2a375a81634ed73e943ce82078",
+    ],
+    "rare_mixed_draws": [
+        "814f467d5e5787a02cf5047cf501882c3523901aa117c485dd0e73c90a12c16b",
+        "faf659b107a9b2f9a61ed57e472bf542debae9ef8c499dae739d5c3c28d32001",
+        "19bdbb6776b7e6cc3726d3b29fb7f3a8e01ae844123f898549aa14f6c226eef0",
+    ],
+    "noisy": [
+        "92c610a0367ebe64c9383320ca549e7ce2040ee5cc08e1381e0d2cfbf1b25574",
+        "32b435c836d393e75a36602caff587cbe40daf6b9e4e1d7a090080aafd192f45",
+        "02ed5dd990ad3705e19377d9c631b98c8398e1508920f48513ad4082c938eb6a",
+    ],
+}
+
+PINNED_VIOLATION_DRAWS = "eb4b64a782d1f57985e6e4764c38f4af4d5d2456fb64e98b2ef2f690833bd2d0"
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SESSIONS))
+def test_seeded_session_draws(name):
+    assert _pinned_digests(name) == PINNED_DRAWS[name]
+
+
+def test_seeded_violation_draws():
+    rng = session_rng(50)
+    with pytest.raises(ProtocolViolation):
+        run_session(honest_alice(), _LateViolator(0.2, 300), ProtocolParams(0.2, 20.0), 1_000, rng)
+    assert _session_digest(None, rng) == PINNED_VIOLATION_DRAWS

@@ -453,6 +453,19 @@ class TestSession:
         with pytest.raises(ValueError):
             run_session(honest_alice(), honest_bob(0.1), default_params(), 0, RNG(36))
 
+    @pytest.mark.parametrize("n_rounds", [2.5, 1e6, True, "7"])
+    @pytest.mark.parametrize("abort_threshold", [0.05, 1.0])
+    def test_rejects_non_integer_rounds(self, n_rounds, abort_threshold):
+        params = default_params(abort_threshold=abort_threshold)
+        with pytest.raises(TypeError, match="n_rounds must be an integer"):
+            run_session(honest_alice(), honest_bob(0.1), params, n_rounds, RNG(36))
+
+    def test_accepts_numpy_integer_rounds(self):
+        params = default_params()
+        a = run_session(honest_alice(), honest_bob(0.1), params, np.int64(50), RNG(37))
+        b = run_session(honest_alice(), honest_bob(0.1), params, 50, RNG(37))
+        assert a == b and type(a.rounds) is int
+
 
 class TestFastSession:
     def test_reproducible_by_seed(self):
@@ -461,6 +474,27 @@ class TestFastSession:
         a = run_session_fast(members, params, 5_000, session_rng(40))
         b = run_session_fast(members, params, 5_000, session_rng(40))
         assert a == b
+
+    @pytest.mark.parametrize("n_rounds", [2.5, 1e6, True, "7"])
+    @pytest.mark.parametrize("abort_threshold", [0.05, 1.0])
+    def test_rejects_non_integer_rounds(self, n_rounds, abort_threshold):
+        members = honest_alice().branch_model().members
+        params = default_params(abort_threshold=abort_threshold)
+        with pytest.raises(TypeError, match="n_rounds must be an integer"):
+            run_session_fast(members, params, n_rounds, RNG(40))
+
+    @pytest.mark.parametrize("n_rounds", [0, -3])
+    def test_rejects_fewer_than_one_round(self, n_rounds):
+        members = honest_alice().branch_model().members
+        with pytest.raises(ValueError, match="at least 1"):
+            run_session_fast(members, default_params(), n_rounds, RNG(40))
+
+    def test_accepts_numpy_integer_rounds(self):
+        members = honest_alice().branch_model().members
+        params = default_params()
+        a = run_session_fast(members, params, np.int64(5_000), session_rng(40))
+        b = run_session_fast(members, params, 5_000, session_rng(40))
+        assert a == b and type(a.rounds) is int
 
     def test_agrees_with_oracle_honest(self):
         params = ProtocolParams(0.01, 10_000.0)

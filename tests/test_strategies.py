@@ -282,6 +282,11 @@ class TestEntangledCheat:
         with pytest.raises(ValueError):
             entangled_cheat({StateLabel.ZERO: BASIS_Z})
 
+    @pytest.mark.parametrize("table", [{}, {Outcome.PLUS: StateLabel.ZERO}])
+    def test_outcome_table_must_cover_both_outcomes(self, table):
+        with pytest.raises(ValueError, match="outcome table must cover both outcomes"):
+            entangled_cheat({lab: BASIS_Z for lab in StateLabel}, label_by_outcome=table)
+
     def test_callable_policy(self):
         attack = entangled_cheat(lambda guess: BASIS_Z)
         model = attack.branch_model()
