@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,13 +34,14 @@ from .qubits import (
     BASIS_DISCRIM,
     PAULI_AXES,
     Outcome,
+    PureQubit,
     Subsystem,
     TwoQubitPure,
+    _project_amps,
     apply_pauli,
     apply_pauli_pair,
     bloch_from_state,
     overlap,
-    project_subsystem,
     state_from_bloch,
 )
 from .strategies import AliceStrategy, EntangledModel, ProductModel
@@ -75,6 +76,15 @@ __all__ = [
 
 _COS8 = math.cos(math.pi / 8.0)
 _SIN8 = math.sin(math.pi / 8.0)
+
+# Per-branch code reads enum members through these names: on Python 3.11,
+# reading a member off its Enum class costs about 0.1 us.
+_ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
+_NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
+_PASS, _FAIL = CheckResult.PASS, CheckResult.FAIL
+_NOT_APPLICABLE = CheckResult.NOT_APPLICABLE
+_OUTCOME_PLUS, _OUTCOME_MINUS = Outcome.PLUS, Outcome.MINUS
+_A, _B = Subsystem.A, Subsystem.B
 
 
 class ProtocolConstants(NamedTuple):
@@ -235,7 +245,10 @@ def unmeasured_posterior(theta: float, check_rate: float, guess: StateLabel) -> 
     Conditions on Bob announcing `guess` when Alice sent the z-x-plane
     state at `theta`.  Never drops below check_rate/2: an unmeasuring Bob
     guesses uniformly, so half the check rate always survives the update.
+    Raises ValueError unless 0 < check_rate < 1, as ProtocolParams does.
     """
+    if not 0.0 < check_rate < 1.0:
+        raise ValueError(f"check_rate must lie in (0, 1), got {check_rate}")
     state = state_from_bloch(theta, 0.0)
     anchor = BASIS_DISCRIM.plus if guess is StateLabel.ZERO else BASIS_DISCRIM.minus
     q = overlap(anchor, state)
@@ -258,7 +271,13 @@ def golden_section_max(
     Finishes with one parabolic polish on widely spaced points: near the
     top the bracket stalls in comparison noise, while a three-point fit
     stays well conditioned (and is exact for quadratic objectives).
+    Raises ValueError for a non-finite bound or for lo >= hi.
     """
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
+    if lo >= hi:
+        raise ValueError(f"lo must lie below hi, got lo={lo}, hi={hi}")
     a, b = lo, hi
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
@@ -315,7 +334,7 @@ def _noise_variants(state, eps: float, pauli):
 
 
 def _pauli_on_b(state: TwoQubitPure, axis: str) -> TwoQubitPure:
-    return apply_pauli_pair(state, Subsystem.B, axis)
+    return apply_pauli_pair(state, _B, axis)
 
 
 def _product_branches(
@@ -358,57 +377,81 @@ def _product_branches(
                 )
 
 
-def _entangled_branches(
-    model: EntangledModel, params: ProtocolParams
-) -> Iterable[RoundBranch]:
+def _overlap(c0: complex, c1: complex, a0: complex, a1: complex) -> float:
+    """`overlap` on amplitudes, with (c0, c1) those of the state projected
+    onto, already conjugated."""
+    return min(1.0, max(0.0, abs(c0 * a0 + c1 * a1) ** 2))
+
+
+def _conjugated(state: PureQubit) -> tuple[complex, complex]:
+    return state.amp0.conjugate(), state.amp1.conjugate()
+
+
+# RoundBranch fields.  `_entangled_branches` yields them as plain tuples,
+# with every per-branch constant (settlements, conjugated amplitudes, the
+# strategy's lookup tables) resolved once per call: enum-keyed lookups hash
+# through the Python-level Enum.__hash__.  `_product_branches` still yields
+# RoundBranch objects, which the consumers index the same way; ROADMAP
+# item 6 says why.
+_Branch = tuple[float, RoundType, StateLabel, StateLabel, CheckResult, float]
+
+
+def _entangled_branches(model: EntangledModel, params: ProtocolParams) -> Iterator[_Branch]:
     r = params.check_rate
+    penalty = -params.penalty
+    labels = (
+        model.label_by_outcome[_OUTCOME_PLUS],
+        model.label_by_outcome[_OUTCOME_MINUS],
+    )
+    # Per guess: Alice's two basis states, each with its claim, settlement
+    # and the conjugated failing state of the claim's verification basis.
+    policy = []
+    for guess in (_ZERO, _PLUS):
+        basis = model.basis_by_guess[guess]
+        sides = tuple(
+            (
+                onto,
+                *_conjugated(onto),
+                claim,
+                _settle(guess, claim, params),
+                *_conjugated(claim.verification_basis.minus),
+            )
+            for onto, claim in zip((basis.plus, basis.minus), labels)
+        )
+        policy.append((guess, sides))
+    # Bob's outcome plus, onto BASIS_DISCRIM.plus, announces guess zero.
+    bob_sides = ((BASIS_DISCRIM.plus, policy[0]), (BASIS_DISCRIM.minus, policy[1]))
     for nw, state in _noise_variants(model.state, params.noise, _pauli_on_b):
         # Normal rounds: Bob measures his half first, then Alice measures
         # hers in the basis picked by his announced guess.
-        bob_sides = project_subsystem(state, Subsystem.B, BASIS_DISCRIM)
-        for bob_outcome, (p_b, alice_state) in zip(Outcome, bob_sides):
-            if alice_state is None:
+        normal = nw * (1.0 - r)
+        for bob_onto, (guess, sides) in bob_sides:
+            p_b, a0, a1 = _project_amps(state, _B, bob_onto)
+            if p_b == 0.0:
                 continue
-            guess = (
-                StateLabel.ZERO if bob_outcome is Outcome.PLUS else StateLabel.PLUS
-            )
-            basis = model.basis_by_guess[guess]
-            for a_outcome in Outcome:
-                q = overlap(basis.state_of(a_outcome), alice_state)
-                claim = model.label_by_outcome[a_outcome]
-                yield RoundBranch(
-                    nw * (1.0 - r) * p_b * q,
-                    RoundType.NORMAL,
-                    guess,
-                    claim,
-                    CheckResult.NOT_APPLICABLE,
-                    _settle(guess, claim, params),
-                )
+            weight = normal * p_b
+            for _, c0, c1, claim, settled, _, _ in sides:
+                q = _overlap(c0, c1, a0, a1)
+                yield weight * q, _NORMAL, guess, claim, _NOT_APPLICABLE, settled
         # Checking rounds: Bob stores, so Alice's measurement steers his qubit.
-        for guess in StateLabel:
-            basis = model.basis_by_guess[guess]
-            alice_sides = project_subsystem(state, Subsystem.A, basis)
-            for a_outcome, (p_a, bob_state) in zip(Outcome, alice_sides):
-                if bob_state is None:
+        check = nw * r * 0.5
+        for guess, sides in policy:
+            for onto, _, _, claim, settled, m0, m1 in sides:
+                p_a, b0, b1 = _project_amps(state, _A, onto)
+                if p_a == 0.0:
                     continue
-                claim = model.label_by_outcome[a_outcome]
-                caught = overlap(claim.verification_basis.minus, bob_state)
-                yield RoundBranch(
-                    nw * r * 0.5 * p_a * caught,
-                    RoundType.CHECK,
-                    guess,
-                    claim,
-                    CheckResult.FAIL,
-                    -params.penalty,
-                )
-                yield RoundBranch(
-                    nw * r * 0.5 * p_a * (1.0 - caught),
-                    RoundType.CHECK,
-                    guess,
-                    claim,
-                    CheckResult.PASS,
-                    _settle(guess, claim, params),
-                )
+                weight = check * p_a
+                caught = _overlap(m0, m1, b0, b1)
+                yield weight * caught, _CHECK, guess, claim, _FAIL, penalty
+                yield weight * (1.0 - caught), _CHECK, guess, claim, _PASS, settled
+
+
+def _branches(alice: AliceStrategy, params: ProtocolParams) -> Iterator[_Branch]:
+    """Every branch of one round, zero-probability ones included."""
+    model = alice.branch_model()
+    if isinstance(model, ProductModel):
+        return _product_branches(model, params)
+    return _entangled_branches(model, params)
 
 
 def oracle_round_branches(
@@ -417,31 +460,21 @@ def oracle_round_branches(
     """Every probabilistic branch of one round against honest Bob, with
     exact Born probabilities; raises NonEnumerableStrategyError for
     strategies without a finite description."""
-    model = alice.branch_model()
-    if isinstance(model, ProductModel):
-        branches = _product_branches(model, params)
-    else:
-        branches = _entangled_branches(model, params)
-    return [b for b in branches if b.prob > 0.0]
+    return [RoundBranch._make(b) for b in _branches(alice, params) if b[0] > 0.0]
 
 
 def oracle_expected_gain(alice: AliceStrategy, params: ProtocolParams) -> GainBreakdown:
     """Exact expected per-round gain for Alice by full branch enumeration."""
-    branches = oracle_round_branches(alice, params)
-    normal = math.fsum(
-        b.prob * b.transfer for b in branches if b.round_type is RoundType.NORMAL
-    )
-    detect = math.fsum(
-        b.prob * b.transfer
-        for b in branches
-        if b.check_result is CheckResult.FAIL
-    )
-    passed = math.fsum(
-        b.prob * b.transfer
-        for b in branches
-        if b.check_result is CheckResult.PASS
-    )
-    return GainBreakdown.from_terms(normal, detect, passed)
+    normal, detect, passed = [], [], []
+    for prob, round_type, _, _, result, transfer in _branches(alice, params):
+        if prob > 0.0:
+            if round_type is _NORMAL:
+                normal.append(prob * transfer)
+            elif result is _FAIL:
+                detect.append(prob * transfer)
+            else:
+                passed.append(prob * transfer)
+    return GainBreakdown.from_terms(math.fsum(normal), math.fsum(detect), math.fsum(passed))
 
 
 def oracle_transfer_variance(alice: AliceStrategy, params: ProtocolParams) -> float:
@@ -451,10 +484,14 @@ def oracle_transfer_variance(alice: AliceStrategy, params: ProtocolParams) -> fl
     sample estimate it accounts for penalty events too rare to have shown
     up in a finite run.
     """
-    branches = oracle_round_branches(alice, params)
-    mean = math.fsum(b.prob * b.transfer for b in branches)
-    second = math.fsum(b.prob * b.transfer * b.transfer for b in branches)
-    return max(0.0, second - mean * mean)
+    first, second = [], []
+    for prob, _, _, _, _, transfer in _branches(alice, params):
+        if prob > 0.0:
+            moment = prob * transfer
+            first.append(moment)
+            second.append(moment * transfer)
+    mean = math.fsum(first)
+    return max(0.0, math.fsum(second) - mean * mean)
 
 
 def oracle_transcript_distribution(
@@ -462,11 +499,17 @@ def oracle_transcript_distribution(
 ) -> dict[tuple[RoundType, StateLabel, StateLabel, CheckResult], float]:
     """Exact distribution over observable round transcripts
     (round type, guess, claim, check result)."""
-    buckets: dict[tuple, list[float]] = {}
-    for b in oracle_round_branches(alice, params):
-        key = (b.round_type, b.bob_guess, b.alice_claim, b.check_result)
-        buckets.setdefault(key, []).append(b.prob)
-    return {k: math.fsum(v) for k, v in buckets.items()}
+    # Keyed by the members' identities, which hash without Enum.__hash__;
+    # each transcript tuple is built once, in first-seen order.
+    buckets: dict[tuple[int, int, int, int], tuple[tuple, list[float]]] = {}
+    for prob, round_type, guess, claim, result, _ in _branches(alice, params):
+        if prob > 0.0:
+            ident = (id(round_type), id(guess), id(claim), id(result))
+            bucket = buckets.get(ident)
+            if bucket is None:
+                bucket = buckets[ident] = ((round_type, guess, claim, result), [])
+            bucket[1].append(prob)
+    return {key: math.fsum(probs) for key, probs in buckets.values()}
 
 
 def monte_carlo_gain(stats: SessionStats) -> MonteCarloEstimate:

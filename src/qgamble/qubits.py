@@ -95,6 +95,17 @@ _PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
 _A = Subsystem.A
 
 
+def _canonical(a0: complex, a1: complex, m0: float, m1: float) -> tuple[complex, complex]:
+    """PureQubit's global phase: the first amplitude above _PHASE_CUTOFF
+    (else the last) becomes real and nonnegative.  m0 and m1 are the
+    amplitudes' magnitudes."""
+    mag = m0 if m0 > _PHASE_CUTOFF else m1
+    if mag != 0.0:
+        phase = (a0 if m0 > _PHASE_CUTOFF else a1) / mag
+        a0, a1 = a0 / phase, a1 / phase
+    return a0, a1
+
+
 @dataclass(frozen=True)
 class PureQubit:
     """Normalized single-qubit pure state a0|0> + a1|1>."""
@@ -110,12 +121,7 @@ class PureQubit:
         norm_sq = m0**2 + m1**2
         if abs(norm_sq - 1.0) > ATOL_STATE:
             raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
-        # Global phase: the first amplitude above _PHASE_CUTOFF (else the
-        # last) becomes real and nonnegative.
-        mag = m0 if m0 > _PHASE_CUTOFF else m1
-        if mag != 0.0:
-            phase = (a0 if m0 > _PHASE_CUTOFF else a1) / mag
-            a0, a1 = a0 / phase, a1 / phase
+        a0, a1 = _canonical(a0, a1, m0, m1)
         object.__setattr__(self, "amp0", a0)
         object.__setattr__(self, "amp1", a1)
 
@@ -309,6 +315,21 @@ def _collapse(r0: complex, r1: complex, norm_sq: float) -> tuple[float, PureQubi
         return 0.0, None
     scale = 1.0 / math.sqrt(norm_sq)
     return prob, PureQubit(r0 * scale, r1 * scale)
+
+
+def _project_amps(
+    state: TwoQubitPure, which: Subsystem, onto: PureQubit
+) -> tuple[float, complex, complex]:
+    """`_project_once` without building the partner: the outcome probability
+    and the partner's amplitudes, bit for bit those of the PureQubit that
+    `_collapse` returns ((0.0, 0j, 0j) for an impossible outcome)."""
+    r0, r1, norm_sq = _residue(state, which, onto)
+    prob = _outcome_prob(norm_sq)
+    if prob == 0.0:
+        return 0.0, 0j, 0j
+    scale = 1.0 / math.sqrt(norm_sq)
+    a0, a1 = r0 * scale, r1 * scale
+    return (prob, *_canonical(a0, a1, abs(a0), abs(a1)))
 
 
 def _project_once(

@@ -114,17 +114,30 @@ class NonEnumerableStrategyError(TypeError):
 
 
 class AliceStrategy(abc.ABC):
-    """Sender side.  May act only on subsystem A after sending."""
+    """Sender side.  May act only on subsystem A after sending.
+
+    `rng` is a numpy Generator or, in a noiseless `run_session`, a private
+    wrapper that serves the same draws: it has the Generator's methods but
+    is not a Generator, so `np.random.default_rng(rng)` raises TypeError
+    and `isinstance(rng, np.random.Generator)` is False.  Call `rng`'s
+    methods (`random`, `integers`, ...) directly.
+    """
 
     @abc.abstractmethod
     def prepare(self, rng) -> Preparation:
-        """Produce the round's quantum register (subsystem B goes to Bob)."""
+        """Produce the round's quantum register (subsystem B goes to Bob).
+
+        Draw through `rng`'s methods directly; it may be a wrapper, not a
+        Generator (see the class docstring)."""
 
     @abc.abstractmethod
     def claim(
         self, memo: Any, own_view: SubsystemView, bob_guess: StateLabel, rng
     ) -> StateLabel:
-        """Announce the claim, optionally measuring subsystem A through the view."""
+        """Announce the claim, optionally measuring subsystem A through the view.
+
+        Draw through `rng`'s methods directly; it may be a wrapper, not a
+        Generator (see the class docstring)."""
 
     def branch_model(self) -> ProductModel | EntangledModel:
         raise NonEnumerableStrategyError(
@@ -133,15 +146,29 @@ class AliceStrategy(abc.ABC):
 
 
 class BobStrategy(abc.ABC):
-    """Receiver side.  In checking rounds nothing is measured before the claim."""
+    """Receiver side.  In checking rounds nothing is measured before the claim.
+
+    `rng` is a numpy Generator or, in a noiseless `run_session`, a private
+    wrapper that serves the same draws: it has the Generator's methods but
+    is not a Generator, so `np.random.default_rng(rng)` raises TypeError
+    and `isinstance(rng, np.random.Generator)` is False.  Call `rng`'s
+    methods (`random`, `integers`, ...) directly.
+    """
 
     @abc.abstractmethod
     def play(self, received: SubsystemView, is_check: bool, rng) -> BobMove:
-        ...
+        """Bob's move: his guess and, in a checking round, the received
+        view as `stored`, unmeasured.
+
+        Draw through `rng`'s methods directly; it may be a wrapper, not a
+        Generator (see the class docstring)."""
 
     @abc.abstractmethod
     def verify(self, stored: SubsystemView, claim: StateLabel, rng) -> CheckResult:
-        ...
+        """Test Alice's claim on the stored qubit.
+
+        Draw through `rng`'s methods directly; it may be a wrapper, not a
+        Generator (see the class docstring)."""
 
 
 class _HonestBob(BobStrategy):

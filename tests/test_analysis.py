@@ -180,6 +180,23 @@ class TestOptimum:
         assert x == pytest.approx(0.3, abs=1e-9)
         assert fx == pytest.approx(1.0, abs=1e-12)
 
+    def test_golden_section_rejects_bad_bounds(self):
+        # Reversed bounds once returned (0.5, -0.04) for a maximum of 0 at
+        # 0.3, and a NaN or inf bound returned (nan, nan).
+        def f(t):
+            return -((t - 0.3) ** 2)
+
+        for lo, hi, name in (
+            (1.0, 0.0, "lo must lie below hi"),
+            (0.5, 0.5, "lo must lie below hi"),
+            (math.nan, 1.0, "lo must be finite"),
+            (0.0, math.nan, "hi must be finite"),
+            (-math.inf, 1.0, "lo must be finite"),
+            (0.0, math.inf, "hi must be finite"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                golden_section_max(f, lo, hi)
+
     def test_gain_max_decreases_with_penalty(self):
         gains = [
             quadratic_bound_optimum(0.01, pen).gain_max
@@ -247,6 +264,17 @@ class TestPosterior:
             got = unmeasured_posterior(0.75 * math.pi, rate, StateLabel.PLUS)
             assert got == pytest.approx(0.5 * rate / (1.0 - 0.5 * rate), abs=1e-15)
             assert 0.0 <= got - 0.5 * rate <= 0.5 * rate * rate
+
+
+    def test_rejects_check_rate_outside_unit_interval(self):
+        # 1.5 once gave 1.216, -0.5 gave -1.666 and NaN gave NaN.
+        for rate in (0.0, 1.0, 1.5, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="check_rate must lie in"):
+                unmeasured_posterior(0.3, rate, StateLabel.ZERO)
+
+    def test_rejects_nan_theta(self):
+        with pytest.raises(ValueError):
+            unmeasured_posterior(math.nan, 0.1, StateLabel.PLUS)
 
 
 class TestOracle:

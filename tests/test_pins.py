@@ -9,10 +9,17 @@ arithmetic: a change that moves a bit here changes what a seed reproduces.
 import dataclasses
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
-from qgamble.analysis import oracle_round_branches
+from qgamble.analysis import (
+    oracle_expected_gain,
+    oracle_round_branches,
+    oracle_transcript_distribution,
+    oracle_transfer_variance,
+)
 from qgamble.protocol import (
     MIN_CHECKS_FOR_ABORT,
     CheckResult,
@@ -25,7 +32,23 @@ from qgamble.protocol import (
     run_session,
     session_rng,
 )
-from qgamble.qubits import BASIS_X, BASIS_Z, Ensemble, Subsystem, state_from_bloch
+from qgamble.qubits import (
+    BASIS_DISCRIM,
+    BASIS_X,
+    BASIS_Z,
+    DISCRIM_0,
+    DISCRIM_PLUS,
+    KET_0,
+    KET_1,
+    KET_MINUS,
+    KET_PLUS,
+    Ensemble,
+    Outcome,
+    Subsystem,
+    TwoQubitPure,
+    basis_from_bloch_angle,
+    state_from_bloch,
+)
 from qgamble.strategies import (
     AliceStrategy,
     BobStrategy,
@@ -166,6 +189,67 @@ def test_noisy_entangled_oracle_branches():
         for b in oracle_round_branches(alice, params)
     ]
     assert got == PINNED_BRANCHES
+
+
+def _oracle_family():
+    """Seeded product mixtures and entangled strategies spanning the oracle's
+    cases: off-plane states, exact eigenstates (zero-probability branches),
+    both claims, complex two-qubit states with zero amplitudes, built-in and
+    z-x-plane bases, and the default and a constant outcome table."""
+    g = random.Random(7)
+    eigenstates = (KET_0, KET_1, KET_PLUS, KET_MINUS, DISCRIM_0, DISCRIM_PLUS)
+    bases = (BASIS_Z, BASIS_X, BASIS_DISCRIM)
+    constant_table = {Outcome.PLUS: ZERO, Outcome.MINUS: ZERO}
+    family = []
+    for _ in range(24):
+        k = g.randint(1, 4)
+        raw = [g.random() + 0.05 for _ in range(k)]
+        states = [
+            g.choice(eigenstates) if g.random() < 0.3
+            else state_from_bloch(g.uniform(0.0, math.pi), g.uniform(0.0, 2.0 * math.pi))
+            for _ in range(k)
+        ]
+        members = Ensemble(tuple((w / sum(raw), s) for w, s in zip(raw, states)))
+        family.append(ensemble_cheat(members, [g.choice((ZERO, PLUS)) for _ in range(k)]))
+    for _ in range(24):
+        amps = [complex(g.gauss(0.0, 1.0), g.gauss(0.0, 1.0)) for _ in range(4)]
+        for i in g.sample(range(4), g.randint(0, 2)):
+            amps[i] = 0j
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        policy = {
+            lab: g.choice(bases) if g.random() < 0.5
+            else basis_from_bloch_angle(g.uniform(0.0, math.pi))
+            for lab in (ZERO, PLUS)
+        }
+        table = constant_table if g.random() < 0.25 else None
+        state = TwoQubitPure(tuple(a / norm for a in amps))
+        family.append(entangled_cheat(policy, table, state))
+    return family
+
+
+# sha256 over the four oracle views of every strategy in _oracle_family under
+# each of ORACLE_PARAMS.
+ORACLE_PARAMS = (
+    ProtocolParams(0.13, 250.0, loss_payout=4.5),
+    ProtocolParams(0.05, 1_000.0, noise=0.02),
+    ProtocolParams(0.3, 20.0, win_payout=2.0, noise=0.3),
+    ProtocolParams(0.5, 7.0, noise=0.9),
+)
+PINNED_ORACLE = "c9d5c01b9670f01f4cc8e21e3160d908becbc70d761c1eb9b683363bf0ed739f"
+
+
+def test_oracle_digest_over_strategy_space():
+    digest = hashlib.sha256()
+    for params in ORACLE_PARAMS:
+        for alice in _oracle_family():
+            views = (
+                oracle_round_branches(alice, params),
+                oracle_expected_gain(alice, params),
+                oracle_transfer_variance(alice, params),
+                oracle_transcript_distribution(alice, params),
+            )
+            digest.update(repr(views).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_ORACLE
 
 
 def _stream_digest(records) -> str:
