@@ -32,6 +32,8 @@ from .protocol import (
 )
 from .qubits import (
     BASIS_DISCRIM,
+    BASIS_X,
+    BASIS_Z,
     PAULI_AXES,
     Outcome,
     PureQubit,
@@ -44,7 +46,7 @@ from .qubits import (
     overlap,
     state_from_bloch,
 )
-from .strategies import AliceStrategy, EntangledModel, ProductModel
+from .strategies import AliceStrategy, EntangledModel, ProductModel, entangled_cheat
 
 __all__ = [
     "ProtocolConstants",
@@ -391,8 +393,10 @@ def _conjugated(state: PureQubit) -> tuple[complex, complex]:
 # with every per-branch constant (settlements, conjugated amplitudes, the
 # strategy's lookup tables) resolved once per call: enum-keyed lookups hash
 # through the Python-level Enum.__hash__.  `_product_branches` still yields
-# RoundBranch objects, which the consumers index the same way; ROADMAP
-# item 6 says why.
+# RoundBranch objects, which the consumers index the same way.  A tuple
+# version is 2-3x faster per call, but the benchmark harness keeps every
+# operation's latency (more operations raise its peak RSS) and reads its
+# tail at p99.99 from 100,000 operations on (ROADMAP item 9).
 _Branch = tuple[float, RoundType, StateLabel, StateLabel, CheckResult, float]
 
 
@@ -609,18 +613,11 @@ def all_thetas_peak_in_plane(result: SweepResult, check_rate: float, penalty: fl
     return True
 
 
-def entangled_policy_gains(
-    params: ProtocolParams,
-    bases=None,
-) -> list[tuple[str, GainBreakdown]]:
+def entangled_policy_gains(params: ProtocolParams) -> list[tuple[str, GainBreakdown]]:
     """Oracle gains over the declared family of entanglement-attack policies:
-    every assignment of a measurement basis (z or x by default) to each of
-    Bob's possible guesses, with the default outcome-to-claim table."""
-    from .qubits import BASIS_X, BASIS_Z
-    from .strategies import entangled_cheat
-
-    if bases is None:
-        bases = (BASIS_Z, BASIS_X)
+    every assignment of a measurement basis, z or x, to each of Bob's
+    possible guesses, with the default outcome-to-claim table."""
+    bases = (BASIS_Z, BASIS_X)
     rows = []
     for b_zero in bases:
         for b_plus in bases:

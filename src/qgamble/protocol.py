@@ -7,9 +7,10 @@ announce a guess about which legal state was sent) or, with the check
 rate, a checking round (store the qubit, announce a uniformly random
 guess).  Alice answers with a claim label, which fixes the win/lose
 announcement: Bob wins exactly when his guess equals the claim.  In a
-checking round Bob afterwards measures the stored qubit in the claimed
+checking round the engine then measures the stored qubit in the claimed
 state's eigenbasis; an orthogonal outcome convicts Alice and costs her the
-penalty, otherwise the round settles like a normal one.
+penalty, otherwise the round settles like a normal one.  The verdict is a
+protocol step, like the settlement: no strategy reports it.
 
 Coins flow through a zero-sum ledger: a Bob win costs Alice `win_payout`
 (one coin by default), a Bob loss pays Alice `loss_payout` (p/(1-p) by
@@ -110,7 +111,8 @@ class CheckResult(Enum):
 # per round.
 _A, _B = Subsystem.A, Subsystem.B
 _NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
-_FAIL, _NOT_APPLICABLE = CheckResult.FAIL, CheckResult.NOT_APPLICABLE
+_PASS, _FAIL = CheckResult.PASS, CheckResult.FAIL
+_NOT_APPLICABLE = CheckResult.NOT_APPLICABLE
 _PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
 
 
@@ -326,10 +328,12 @@ def _play_round(alice, bob, params: ProtocolParams, rng) -> tuple:
     if is_check:
         if move.stored is None:
             raise ProtocolViolation("checking round requires Bob to store the qubit")
-        result = bob.verify(move.stored, claim, rng)
-        if result is _FAIL:
-            return _CHECK, guess, claim, result, -params.penalty, _MINUS
-        round_type, outcome = _CHECK, _PLUS
+        # The engine measures subsystem B itself, not through the object Bob
+        # returned, so nothing Bob hands back can decide the verdict.  If he
+        # measured the qubit before the claim, the register raises.
+        if register.measure(_B, claim.verification_basis, rng, "bob") is _MINUS:
+            return _CHECK, guess, claim, _FAIL, -params.penalty, _MINUS
+        round_type, result, outcome = _CHECK, _PASS, _PLUS
     else:
         round_type, result, outcome = _NORMAL, _NOT_APPLICABLE, move.outcome
     return round_type, guess, claim, result, _settle(guess, claim, params), outcome

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .protocol import BobMove, CheckResult, StateLabel, SubsystemView
+from .protocol import BobMove, StateLabel, SubsystemView
 from .qubits import (
     BASIS_DISCRIM,
     KET_0,
@@ -59,8 +59,7 @@ __all__ = [
 # Per-round code reads enum members through these names: on Python 3.11,
 # reading a member off its Enum class costs about 0.1 us.
 _ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
-_OUTCOME_PLUS, _OUTCOME_MINUS = Outcome.PLUS, Outcome.MINUS
-_FAIL, _PASS = CheckResult.FAIL, CheckResult.PASS
+_OUTCOME_PLUS = Outcome.PLUS
 
 
 class ClaimPolicy(Enum):
@@ -146,7 +145,10 @@ class AliceStrategy(abc.ABC):
 
 
 class BobStrategy(abc.ABC):
-    """Receiver side.  In checking rounds nothing is measured before the claim.
+    """Receiver side.  Bob chooses his guess and, in a checking round, hands
+    back the received qubit unmeasured.  The engine then measures it in the
+    verification basis of Alice's claim and decides the check; a qubit Bob
+    measured before the claim is a protocol violation.
 
     `rng` is a numpy Generator or, in a noiseless `run_session`, a private
     wrapper that serves the same draws: it has the Generator's methods but
@@ -163,16 +165,10 @@ class BobStrategy(abc.ABC):
         Draw through `rng`'s methods directly; it may be a wrapper, not a
         Generator (see the class docstring)."""
 
-    @abc.abstractmethod
-    def verify(self, stored: SubsystemView, claim: StateLabel, rng) -> CheckResult:
-        """Test Alice's claim on the stored qubit.
-
-        Draw through `rng`'s methods directly; it may be a wrapper, not a
-        Generator (see the class docstring)."""
-
 
 class _HonestBob(BobStrategy):
-    """Plays the optimal discrimination measurement; verifies claims faithfully.
+    """Plays the optimal discrimination measurement in normal rounds and
+    stores the qubit unmeasured in checking rounds.
 
     `check_rate` is the publicly announced rate at which this player
     requests checking rounds; the engine draws the per-round decision.
@@ -190,10 +186,6 @@ class _HonestBob(BobStrategy):
         outcome = received.measure(BASIS_DISCRIM, rng)
         guess = _ZERO if outcome is _OUTCOME_PLUS else _PLUS
         return BobMove(guess, None, outcome)
-
-    def verify(self, stored, claim, rng) -> CheckResult:
-        outcome = stored.measure(claim.verification_basis, rng)
-        return _FAIL if outcome is _OUTCOME_MINUS else _PASS
 
 
 class _ProductAlice(AliceStrategy):

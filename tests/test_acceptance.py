@@ -292,7 +292,8 @@ def test_7_entanglement_attack_reductions():
         )
     ok = dist <= 1e-12 and weight_dev <= 1e-12 and all(g < 0.0 for g in x_gains)
     report(
-        "entanglement attacks reduce to honest play or lose outright",
+        "on the standard attack state, the z policy reduces to honest play"
+        " and the x policy loses",
         ok,
         f"z_dist={dist:.1e} weight_dev={weight_dev:.1e} x_gains={x_gains}",
     )

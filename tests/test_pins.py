@@ -362,9 +362,6 @@ class _LateViolator(BobStrategy):
             received.measure(BASIS_Z, rng, which=Subsystem.A)
         return self.inner.play(received, is_check, rng)
 
-    def verify(self, stored, claim, rng):
-        return self.inner.verify(stored, claim, rng)
-
 
 class _MixedDrawAlice(AliceStrategy):
     """Honest Alice that, every `every` rounds, also draws an integer, an

@@ -31,6 +31,7 @@ from qgamble.protocol import (
     session_rng,
 )
 from qgamble.qubits import (
+    BASIS_DISCRIM,
     BASIS_X,
     BASIS_Z,
     KET_0,
@@ -161,24 +162,53 @@ class TestRunRound:
         class SpyBob:
             def __init__(self):
                 self.inner = honest_bob(params.check_rate)
-                self.verify_calls = 0
+                self.stored = None
 
             def play(self, received, is_check, rng):
-                return self.inner.play(received, is_check, rng)
-
-            def verify(self, stored, claim, rng):
-                self.verify_calls += 1
-                return self.inner.verify(stored, claim, rng)
+                move = self.inner.play(received, is_check, rng)
+                self.stored = move.stored
+                return move
 
         spy = SpyBob()
         rng = RNG(14)
         checks = 0
         for _ in range(100):
             rec = run_round(honest_alice(), spy, params, rng)
+            assert rec.settlement_ok(params)
             if rec.round_type is RoundType.CHECK:
                 checks += 1
-            # Every check round consulted verify() exactly once before settling.
-            assert spy.verify_calls == checks
+                # The engine spent the stored qubit on the verdict, exactly once.
+                with pytest.raises(ProtocolViolation, match="already measured"):
+                    spy.stored.measure(BASIS_Z, rng)
+        assert checks > 70
+
+    @pytest.mark.parametrize("forgery", ["verify_fail", "stand_in"])
+    def test_bob_cannot_decide_the_verdict(self, forgery):
+        # Neither a verdict Bob reports nor a stored object of his own whose
+        # outcomes he picks has a say: the engine measures the register.
+        params = default_params(check_rate=0.5)
+
+        class StandIn:
+            def measure(self, basis, rng, which=None):
+                return Outcome.MINUS
+
+        class ForgingBob:
+            def __init__(self):
+                self.inner = honest_bob(params.check_rate)
+
+            def play(self, received, is_check, rng):
+                move = self.inner.play(received, is_check, rng)
+                if is_check and forgery == "stand_in":
+                    return move._replace(stored=StandIn())
+                return move
+
+            def verify(self, stored, claim, rng):
+                return CheckResult.FAIL
+
+        stats = run_session(honest_alice(), ForgingBob(), params, 2_000, session_rng(22))
+        assert stats.check_rounds > MIN_CHECKS_FOR_ABORT
+        assert stats.check_fails == 0
+        assert not stats.aborted
 
     def test_alice_touching_bobs_qubit_rejected(self):
         params = default_params()
@@ -218,9 +248,6 @@ class TestRunRound:
                 received.measure(BASIS_Z, rng)
                 return BobMove(StateLabel.ZERO, None, Outcome.PLUS)
 
-            def verify(self, stored, claim, rng):
-                return CheckResult.PASS
-
         with pytest.raises(ProtocolViolation):
             run_round(honest_alice(), GreedyBob(), params, RNG(17))
 
@@ -247,26 +274,21 @@ class TestRunRound:
                 received.measure(BASIS_Z, rng, which=Subsystem.A)
                 return BobMove(StateLabel.ZERO, None, Outcome.PLUS)
 
-            def verify(self, stored, claim, rng):
-                return CheckResult.PASS
-
         alice = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
         with pytest.raises(ProtocolViolation, match="bob attempted to measure subsystem A"):
             run_round(alice, PeekingBob(), params, RNG(19))
 
-    def test_stored_qubit_measured_before_verify_rejected(self):
+    @pytest.mark.parametrize("basis", [BASIS_Z, BASIS_DISCRIM], ids=["z", "discrim"])
+    def test_stored_qubit_measured_before_verify_rejected(self, basis):
+        # Bob measures every round, guesses from the outcome and still hands
+        # the measured qubit back as stored.
         params = default_params(check_rate=0.999)
 
         class EagerBob:
-            def __init__(self):
-                self.inner = honest_bob(params.check_rate)
-
             def play(self, received, is_check, rng):
-                received.measure(BASIS_Z, rng)
-                return BobMove(StateLabel.ZERO, received if is_check else None, Outcome.PLUS)
-
-            def verify(self, stored, claim, rng):
-                return self.inner.verify(stored, claim, rng)
+                outcome = received.measure(basis, rng)
+                guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
+                return BobMove(guess, received if is_check else None, outcome)
 
         rng = RNG(20)
         with pytest.raises(ProtocolViolation, match="subsystem B was already measured"):
@@ -279,9 +301,6 @@ class TestRunRound:
         class ForgetfulBob:
             def play(self, received, is_check, rng):
                 return BobMove(StateLabel.ZERO, None, None)
-
-            def verify(self, stored, claim, rng):
-                return CheckResult.PASS
 
         rng = RNG(21)
         with pytest.raises(ProtocolViolation, match="requires Bob to store the qubit"):
