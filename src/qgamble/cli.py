@@ -230,7 +230,8 @@ _OPTIONS = {opt.key: opt for opt in (
             "Grid points over [0, theta-max] (default 200).",
             lambda v: v >= 2, "at least 2"),
     _Option("theta_max", ("--theta-max",), click.FLOAT, math.pi / 4.0,
-            "Largest swept polar angle (default pi/4)."),
+            "Largest swept polar angle, in (0, pi] (default pi/4).",
+            lambda v: 0.0 < v <= math.pi, "in (0, pi]"),
     _Option("phi_grid", ("--phi-grid",), _FloatList(),
             "0,0.7853981633974483,1.5707963267948966",
             "Comma-separated azimuthal angles (default 0,pi/4,pi/2).",

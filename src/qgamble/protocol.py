@@ -42,10 +42,9 @@ from .qubits import (
     Subsystem,
     TwoQubitPure,
     _bloch_xyz,
+    _split,
     apply_pauli,
     apply_pauli_pair,
-    measure,
-    measure_subsystem,
 )
 
 __all__ = [
@@ -231,6 +230,11 @@ class BobMove(NamedTuple):
     outcome: Optional[Outcome]
 
 
+#: A split table is cleared once it holds this many entries, so a session
+#: that sends a new state object every round keeps a bounded table.
+_SPLITS_MAX = 64
+
+
 class RoundRegister:
     """Engine-owned quantum state of one round.
 
@@ -238,16 +242,23 @@ class RoundRegister:
     SubsystemView handles, which lets the engine enforce that each party
     touches only its own subsystem and that nothing is measured twice.
     Subsystem A belongs to "alice" and B to "bob".
+
+    `splits` is the table of exact splits (`qubits._split`) that the
+    register draws against, shared by the rounds of one session and new
+    for a bare register.  It is keyed by (id(state), measures A, id(basis));
+    each entry holds its state and basis, so neither id can be reused
+    while the entry exists.
     """
 
-    __slots__ = ("_state", "_pure_holder", "_a_measured", "_b_measured")
+    __slots__ = ("_state", "_pure_holder", "_a_measured", "_b_measured", "_splits")
 
-    def __init__(self, state: PureQubit | TwoQubitPure):
+    def __init__(self, state: PureQubit | TwoQubitPure, splits: dict | None = None):
         self._state: PureQubit | TwoQubitPure | None = state
         # For a lone qubit, which subsystem it belongs to.
         self._pure_holder = _B
         self._a_measured = False
         self._b_measured = False
+        self._splits = {} if splits is None else splits
 
     def apply_noise(self, eps: float, rng) -> None:
         """Pauli channel on the transmitted subsystem (B), in transit."""
@@ -272,15 +283,25 @@ class RoundRegister:
         if self._a_measured if is_a else self._b_measured:
             raise ProtocolViolation(f"subsystem {which.value} was already measured")
         state = self._state
-        if isinstance(state, TwoQubitPure):
-            outcome, self._state = measure_subsystem(state, which, basis, rng)
-            self._pure_holder = _B if is_a else _A
+        entangled = isinstance(state, TwoQubitPure)
+        if not entangled and (state is None or which is not self._pure_holder):
+            raise ProtocolViolation(
+                f"{actor} holds no qubit on subsystem {which.value}"
+            )
+        splits = self._splits
+        key = (id(state), is_a, id(basis))
+        entry = splits.get(key)
+        if entry is None:
+            if len(splits) >= _SPLITS_MAX:
+                splits.clear()
+            entry = splits[key] = (*_split(state, which, basis), state, basis)
+        # qubits._draw, inlined: the call costs about 80 ns a measurement.
+        if rng.random() < entry[0]:
+            outcome, self._state = _PLUS, entry[1]
         else:
-            if state is None or which is not self._pure_holder:
-                raise ProtocolViolation(
-                    f"{actor} holds no qubit on subsystem {which.value}"
-                )
-            outcome, self._state = measure(state, basis, rng)
+            outcome, self._state = _MINUS, entry[2]
+        if entangled:
+            self._pure_holder = _B if is_a else _A
         if is_a:
             self._a_measured = True
         else:
@@ -312,11 +333,12 @@ def _settle(guess: StateLabel, claim: StateLabel, params: ProtocolParams) -> flo
     return -params.win_payout if guess == claim else params.loss_payout
 
 
-def _play_round(alice, bob, params: ProtocolParams, rng) -> tuple:
+def _play_round(alice, bob, params: ProtocolParams, rng, splits: dict) -> tuple:
     """Play one round between an Alice and a Bob strategy; returns the
-    RoundRecord fields as a plain tuple."""
+    RoundRecord fields as a plain tuple.  `splits` is the session's table
+    of exact splits (see RoundRegister)."""
     prep = alice.prepare(rng)
-    register = RoundRegister(prep.state)
+    register = RoundRegister(prep.state, splits)
     if params.noise > 0.0:
         register.apply_noise(params.noise, rng)
 
@@ -341,7 +363,7 @@ def _play_round(alice, bob, params: ProtocolParams, rng) -> tuple:
 
 def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
     """Execute one protocol round between an Alice and a Bob strategy."""
-    return RoundRecord(*_play_round(alice, bob, params, rng))
+    return RoundRecord(*_play_round(alice, bob, params, rng, {}))
 
 
 #: Blocks of uniforms a session draws ahead of its rounds: the first holds
@@ -457,8 +479,9 @@ def _run_rounds(alice, bob, params, n_rounds, rng, on_round) -> SessionStats:
     checks = fails = wins = played = 0
     aborted = False
     abort_threshold = params.abort_threshold
+    splits: dict = {}
     for _ in range(n_rounds):
-        values = _play_round(alice, bob, params, rng)
+        values = _play_round(alice, bob, params, rng, splits)
         round_type, guess, claim, result, transfer, _ = values
         played += 1
         total += transfer

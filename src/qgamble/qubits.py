@@ -277,13 +277,6 @@ def basis_from_bloch_angle(polar: float, label: str = "") -> MeasurementBasis:
     return MeasurementBasis(plus, orthogonal_state(plus), label or f"zx({polar:.6f})")
 
 
-def measure(state: PureQubit, basis: MeasurementBasis, rng) -> tuple[Outcome, PureQubit]:
-    """Born-rule sample of a projective measurement; post-state is the basis state."""
-    if rng.random() < overlap(basis.plus, state):
-        return _PLUS, basis.plus
-    return _MINUS, basis.minus
-
-
 def _residue(
     state: TwoQubitPure, which: Subsystem, onto: PureQubit
 ) -> tuple[complex, complex, float]:
@@ -354,20 +347,42 @@ def project_subsystem(
     )
 
 
+def _split(
+    state: PureQubit | TwoQubitPure, which: Subsystem, basis: MeasurementBasis
+) -> tuple[float, PureQubit | None, PureQubit | None]:
+    """(p_plus, after_plus, after_minus) of measuring `which` in `basis`.
+
+    For a lone qubit `which` is not read: p_plus is `overlap(basis.plus,
+    state)` and the post-states are the basis states.  For a two-qubit
+    state, p_plus and the collapsed partner states are those of
+    `project_subsystem` (None for an impossible outcome).  No sampling.
+    """
+    if isinstance(state, TwoQubitPure):
+        (p_plus, after_plus), (_, after_minus) = project_subsystem(state, which, basis)
+        return p_plus, after_plus, after_minus
+    return overlap(basis.plus, state), basis.plus, basis.minus
+
+
+def _draw(split: tuple[float, PureQubit | None, PureQubit | None], rng):
+    """One Born-rule sample against a `_split`: the outcome and its post-state."""
+    p_plus, after_plus, after_minus = split
+    if rng.random() < p_plus:
+        return _PLUS, after_plus
+    return _MINUS, after_minus
+
+
+def measure(state: PureQubit, basis: MeasurementBasis, rng) -> tuple[Outcome, PureQubit]:
+    """Born-rule sample of a projective measurement; post-state is the basis state."""
+    return _draw(_split(state, _A, basis), rng)
+
+
 def measure_subsystem(
     state: TwoQubitPure, which: Subsystem, basis: MeasurementBasis, rng
 ) -> tuple[Outcome, PureQubit]:
     """Measure one subsystem; returns the outcome and the collapsed partner state.
 
-    Draws against the same p_plus as `project_subsystem`, then collapses
-    onto the drawn outcome only.
-    """
-    residue = _residue(state, which, basis.plus)
-    if rng.random() < _outcome_prob(residue[2]):
-        outcome = _PLUS
-    else:
-        outcome, residue = _MINUS, _residue(state, which, basis.minus)
-    _, remaining = _collapse(*residue)
+    Draws against the same p_plus as `project_subsystem`."""
+    outcome, remaining = _draw(_split(state, which, basis), rng)
     assert remaining is not None
     return outcome, remaining
 

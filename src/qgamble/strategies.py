@@ -233,9 +233,10 @@ class _EntangledCheat(AliceStrategy):
         self._basis_if_plus = basis_by_guess[StateLabel.PLUS]
         self._label_if_plus = label_by_outcome[Outcome.PLUS]
         self._label_if_minus = label_by_outcome[Outcome.MINUS]
+        self._prep = Preparation(state)
 
     def prepare(self, rng) -> Preparation:
-        return Preparation(self.state)
+        return self._prep
 
     def claim(self, memo, own_view, bob_guess, rng) -> StateLabel:
         basis = self._basis_if_zero if bob_guess is _ZERO else self._basis_if_plus

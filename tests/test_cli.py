@@ -187,6 +187,13 @@ class TestSweepCommand:
         assert args[0] in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("value", ["-1", "0", "100"])
+    def test_theta_max_out_of_range_names_option(self, value):
+        result = run_cli("sweep", "--theta-points", "5", "--theta-max", value)
+        assert result.exit_code == 2
+        assert "--theta-max" in result.output
+        assert "(0, pi]" in result.output
+
     def test_explicit_rate_skips_cap_check(self):
         result = run_cli(
             "sweep", "--theta-points", "10", "-r", "0.25", "-R", "100",

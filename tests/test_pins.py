@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -454,6 +455,55 @@ def test_session_draws_like_a_round_loop(name, n_rounds):
     _round_loop(make_alice(), bob, params, n_rounds, ref_rng, expected.append)
     assert records == expected
     assert _after_draws(rng) == _after_draws(ref_rng)
+
+
+class _FreshStateAlice(AliceStrategy):
+    """Sends a new `state_from_bloch` object every round, each at a polar
+    angle no earlier round used, and claims the nearer legal state."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def prepare(self, rng):
+        self.rounds += 1
+        theta = math.pi * ((self.rounds * 0.6180339887498949) % 1.0)
+        return Preparation(state_from_bloch(theta, 0.0), ZERO if theta < 0.5 * math.pi else PLUS)
+
+    def claim(self, memo, own_view, bob_guess, rng):
+        return memo
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_fresh_states_get_fresh_splits(noise):
+    # A session's split table is keyed by object ids; a stale entry would
+    # show as a record or a Generator state that a loop of run_round,
+    # whose every round starts an empty table, does not produce.
+    params = ProtocolParams(0.2, 20.0, noise=noise, abort_threshold=1.0)
+    bob = honest_bob(params.check_rate)
+    records, rng = [], session_rng(52)
+    run_session(_FreshStateAlice(), bob, params, 5_000, rng, on_round=records.append)
+    expected, ref_rng = [], session_rng(52)
+    _round_loop(_FreshStateAlice(), bob, params, 5_000, ref_rng, expected.append)
+    assert len(records) == 5_000
+    assert records == expected
+    assert _after_draws(rng) == _after_draws(ref_rng)
+
+
+def test_split_table_stays_bounded():
+    params = ProtocolParams(0.2, 20.0, abort_threshold=1.0)
+    bob = honest_bob(params.check_rate)
+    # Warm up first, so one-off set-up inside numpy is not counted.
+    run_session(_FreshStateAlice(), bob, params, 1_000, session_rng(53))
+    bound = 2**20
+    for n in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            stats = run_session(_FreshStateAlice(), bob, params, n, session_rng(53))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n, peak)
+        assert stats.rounds == n
 
 
 def test_violation_leaves_generator_where_round_loop_does():

@@ -1,6 +1,7 @@
 """Round/session engine tests: settlement, noise, abort, and the fast path."""
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -306,6 +307,107 @@ class TestRunRound:
         with pytest.raises(ProtocolViolation, match="requires Bob to store the qubit"):
             for _ in range(20):
                 run_round(honest_alice(), ForgetfulBob(), params, rng)
+
+
+def _rogue_alice(own_view, rng):
+    own_view.measure(BASIS_Z, rng, which=Subsystem.B)
+
+
+def _measure_once(view, rng):
+    view.measure(BASIS_Z, rng)
+
+
+def _measure_twice(view, rng):
+    view.measure(BASIS_Z, rng)
+    view.measure(BASIS_Z, rng)
+
+
+def _peeking_bob(received, rng):
+    received.measure(BASIS_Z, rng, which=Subsystem.A)
+
+
+class _LateAlice(AliceStrategy):
+    """Plays `inner` for `honest` rounds, then claims by calling `violate`
+    on her view, as the single-round violators of TestRunRound do."""
+
+    def __init__(self, inner, violate, honest):
+        self.inner, self.violate, self.left = inner, violate, honest
+
+    def prepare(self, rng):
+        return self.inner.prepare(rng)
+
+    def claim(self, memo, own_view, bob_guess, rng):
+        self.left -= 1
+        if self.left < 0:
+            self.violate(own_view, rng)
+        return self.inner.claim(memo, own_view, bob_guess, rng)
+
+
+class _LateBob:
+    """Honest Bob for `honest` rounds, then plays by calling `violate` on
+    the received view."""
+
+    def __init__(self, check_rate, violate, honest):
+        self.inner, self.violate, self.left = honest_bob(check_rate), violate, honest
+
+    def play(self, received, is_check, rng):
+        self.left -= 1
+        if self.left < 0:
+            self.violate(received, rng)
+        return self.inner.play(received, is_check, rng)
+
+
+def _entangled_z():
+    return entangled_cheat({lab: BASIS_Z for lab in StateLabel})
+
+
+# (Alice factory, Bob factory, message); the factories take the number of
+# honest rounds before the violation.  The cases are RogueAlice,
+# ConfusedAlice, GreedyBob, GreedyAlice and PeekingBob of TestRunRound.
+WARM_VIOLATIONS = {
+    "rogue_alice": (
+        lambda k: _LateAlice(honest_alice(), _rogue_alice, k),
+        lambda k: honest_bob(0.1),
+        "alice attempted to measure subsystem B",
+    ),
+    "confused_alice": (
+        lambda k: _LateAlice(honest_alice(), _measure_once, k),
+        lambda k: honest_bob(0.1),
+        "alice holds no qubit on subsystem A",
+    ),
+    "greedy_bob": (
+        lambda k: honest_alice(),
+        lambda k: _LateBob(0.1, _measure_twice, k),
+        "subsystem B was already measured",
+    ),
+    "greedy_alice": (
+        lambda k: _LateAlice(_entangled_z(), _measure_twice, k),
+        lambda k: honest_bob(0.1),
+        "subsystem A was already measured",
+    ),
+    "peeking_bob": (
+        lambda k: _entangled_z(),
+        lambda k: _LateBob(0.1, _peeking_bob, k),
+        "bob attempted to measure subsystem A",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_VIOLATIONS))
+def test_violation_against_warm_split_table(name):
+    # A round of its own starts with an empty split table; 300 honest
+    # rounds of a session fill it.  The violation and its message must not
+    # depend on which.
+    make_alice, make_bob, message = WARM_VIOLATIONS[name]
+    exact = f"^{re.escape(message)}$"
+    params = default_params()
+    with pytest.raises(ProtocolViolation, match=exact):
+        run_round(make_alice(0), make_bob(0), params, RNG(23))
+    alice, bob = make_alice(300), make_bob(300)
+    with pytest.raises(ProtocolViolation, match=exact):
+        run_session(alice, bob, params, 1_000, session_rng(23))
+    late = alice if isinstance(alice, _LateAlice) else bob
+    assert late.left == -1
 
 
 class TestNoise:
