@@ -113,10 +113,13 @@ _NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
 _PASS, _FAIL = CheckResult.PASS, CheckResult.FAIL
 _NOT_APPLICABLE = CheckResult.NOT_APPLICABLE
 _PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
+_LABEL_ZERO, _LABEL_PLUS = StateLabel.ZERO, StateLabel.PLUS
 
 
 class ProtocolViolation(RuntimeError):
-    """A strategy acted on a subsystem it does not control."""
+    """A strategy broke a rule of the protocol: it acted on a subsystem it
+    does not control, or announced a guess or claim that is not a
+    StateLabel."""
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,9 @@ class RoundRecord(NamedTuple):
 
     def settlement_ok(self, params: ProtocolParams) -> bool:
         """Does the transfer follow from the announcements and check result?"""
-        if (self.check_result is CheckResult.NOT_APPLICABLE) != (
-            self.round_type is RoundType.NORMAL
-        ):
+        if (self.check_result is _NOT_APPLICABLE) != (self.round_type is _NORMAL):
             return False
-        if self.check_result is CheckResult.FAIL:
+        if self.check_result is _FAIL:
             return self.transfer == -params.penalty
         return self.transfer == _settle(self.bob_guess, self.alice_claim, params)
 
@@ -236,29 +237,32 @@ _SPLITS_MAX = 64
 
 
 class RoundRegister:
-    """Engine-owned quantum state of one round.
+    """Engine-owned quantum state of a round.
 
     Strategies never hold raw states during play; they measure through
     SubsystemView handles, which lets the engine enforce that each party
     touches only its own subsystem and that nothing is measured twice.
     Subsystem A belongs to "alice" and B to "bob".
 
-    `splits` is the table of exact splits (`qubits._split`) that the
-    register draws against, shared by the rounds of one session and new
-    for a bare register.  It is keyed by (id(state), measures A, id(basis));
-    each entry holds its state and basis, so neither id can be reused
-    while the entry exists.
+    One register serves a whole session: at the start of each round the
+    engine resets its state, its lone-qubit holder (B) and both measured
+    flags.  `_splits` is the table of exact splits (`qubits._split`)
+    that the register draws against; it stays on the register across the
+    rounds of a session, and `run_round` and a bare register start an
+    empty one.  It is keyed by (id(state), measures A, id(basis)); each
+    entry holds its state and basis, so neither id can be reused while
+    the entry exists.
     """
 
     __slots__ = ("_state", "_pure_holder", "_a_measured", "_b_measured", "_splits")
 
-    def __init__(self, state: PureQubit | TwoQubitPure, splits: dict | None = None):
+    def __init__(self, state: PureQubit | TwoQubitPure | None):
         self._state: PureQubit | TwoQubitPure | None = state
         # For a lone qubit, which subsystem it belongs to.
         self._pure_holder = _B
         self._a_measured = False
         self._b_measured = False
-        self._splits = {} if splits is None else splits
+        self._splits: dict = {}
 
     def apply_noise(self, eps: float, rng) -> None:
         """Pauli channel on the transmitted subsystem (B), in transit."""
@@ -266,9 +270,9 @@ class RoundRegister:
             return
         axis = PAULI_AXES[rng.integers(3)]
         if isinstance(self._state, TwoQubitPure):
-            self._state = apply_pauli_pair(self._state, Subsystem.B, axis)
+            self._state = apply_pauli_pair(self._state, _B, axis)
         else:
-            assert self._state is not None and self._pure_holder is Subsystem.B
+            assert self._state is not None and self._pure_holder is _B
             self._state = apply_pauli(self._state, axis)
 
     def measure(
@@ -310,7 +314,12 @@ class RoundRegister:
 
 
 class SubsystemView:
-    """A party's measurement handle onto its own half of the round register."""
+    """A party's measurement handle onto its own half of the round register.
+
+    A session hands each party one view for all its rounds, so a view
+    always refers to the current round: one kept from an earlier round
+    measures this round's qubit, under this round's rules.
+    """
 
     __slots__ = ("_register", "_which", "_actor")
 
@@ -330,40 +339,15 @@ class SubsystemView:
 
 
 def _settle(guess: StateLabel, claim: StateLabel, params: ProtocolParams) -> float:
+    """The settlement rule, which `_run_rounds` applies inline."""
     return -params.win_payout if guess == claim else params.loss_payout
-
-
-def _play_round(alice, bob, params: ProtocolParams, rng, splits: dict) -> tuple:
-    """Play one round between an Alice and a Bob strategy; returns the
-    RoundRecord fields as a plain tuple.  `splits` is the session's table
-    of exact splits (see RoundRegister)."""
-    prep = alice.prepare(rng)
-    register = RoundRegister(prep.state, splits)
-    if params.noise > 0.0:
-        register.apply_noise(params.noise, rng)
-
-    is_check = rng.random() < params.check_rate
-    move = bob.play(SubsystemView(register, _B, "bob"), is_check, rng)
-    guess = move.guess
-    claim = alice.claim(prep.memo, SubsystemView(register, _A, "alice"), guess, rng)
-
-    if is_check:
-        if move.stored is None:
-            raise ProtocolViolation("checking round requires Bob to store the qubit")
-        # The engine measures subsystem B itself, not through the object Bob
-        # returned, so nothing Bob hands back can decide the verdict.  If he
-        # measured the qubit before the claim, the register raises.
-        if register.measure(_B, claim.verification_basis, rng, "bob") is _MINUS:
-            return _CHECK, guess, claim, _FAIL, -params.penalty, _MINUS
-        round_type, result, outcome = _CHECK, _PASS, _PLUS
-    else:
-        round_type, result, outcome = _NORMAL, _NOT_APPLICABLE, move.outcome
-    return round_type, guess, claim, result, _settle(guess, claim, params), outcome
 
 
 def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
     """Execute one protocol round between an Alice and a Bob strategy."""
-    return RoundRecord(*_play_round(alice, bob, params, rng, {}))
+    records: list = []
+    _run_rounds(alice, bob, params, 1, rng, records.append)
+    return records[0]
 
 
 #: Blocks of uniforms a session draws ahead of its rounds: the first holds
@@ -474,26 +458,58 @@ def run_session(
 
 
 def _run_rounds(alice, bob, params, n_rounds, rng, on_round) -> SessionStats:
-    total = 0.0
-    total_sq = 0.0
+    """Play up to `n_rounds` rounds on one register and one pair of views."""
+    check_rate, noise = params.check_rate, params.noise
+    abort_threshold = params.abort_threshold
+    on_win, on_loss, on_fail = -params.win_payout, params.loss_payout, -params.penalty
+    prepare, claim_of, play = alice.prepare, alice.claim, bob.play
+    register = RoundRegister(None)
+    bob_view = SubsystemView(register, _B, "bob")
+    alice_view = SubsystemView(register, _A, "alice")
+    total = total_sq = 0.0
     checks = fails = wins = played = 0
     aborted = False
-    abort_threshold = params.abort_threshold
-    splits: dict = {}
-    for _ in range(n_rounds):
-        values = _play_round(alice, bob, params, rng, splits)
-        round_type, guess, claim, result, transfer, _ = values
-        played += 1
+    for played in range(1, n_rounds + 1):
+        prep = prepare(rng)
+        register._state = prep.state
+        register._pure_holder = _B
+        register._a_measured = register._b_measured = False
+        if noise > 0.0:
+            register.apply_noise(noise, rng)
+        is_check = rng.random() < check_rate
+        move = play(bob_view, is_check, rng)
+        guess = move.guess
+        if guess is not _LABEL_ZERO and guess is not _LABEL_PLUS:
+            raise ProtocolViolation(f"bob guessed {guess!r}, which is not a StateLabel")
+        claim = claim_of(prep.memo, alice_view, guess, rng)
+        if claim is _LABEL_ZERO:
+            basis = BASIS_Z
+        elif claim is _LABEL_PLUS:
+            basis = BASIS_X
+        else:
+            raise ProtocolViolation(f"alice claimed {claim!r}, which is not a StateLabel")
+        transfer = on_win if guess is claim else on_loss
+        if is_check:
+            if move.stored is None:
+                raise ProtocolViolation("checking round requires Bob to store the qubit")
+            # The engine measures subsystem B itself, not through the object
+            # Bob returned, so nothing Bob hands back can decide the verdict.
+            # If he measured the qubit before the claim, the register raises.
+            checks += 1
+            if register.measure(_B, basis, rng, "bob") is _MINUS:
+                fails += 1
+                round_type, result, transfer, outcome = _CHECK, _FAIL, on_fail, _MINUS
+            else:
+                round_type, result, outcome = _CHECK, _PASS, _PLUS
+        else:
+            if guess is claim:
+                wins += 1
+            round_type, result, outcome = _NORMAL, _NOT_APPLICABLE, move.outcome
         total += transfer
         total_sq += transfer * transfer
-        if round_type is _CHECK:
-            checks += 1
-            if result is _FAIL:
-                fails += 1
-        elif guess == claim:
-            wins += 1
         if on_round is not None:
-            on_round(RoundRecord(*values))
+            on_round(tuple.__new__(
+                RoundRecord, (round_type, guess, claim, result, transfer, outcome)))
         if checks >= MIN_CHECKS_FOR_ABORT and fails > abort_threshold * checks:
             aborted = True
             break

@@ -60,6 +60,9 @@ __all__ = [
 # reading a member off its Enum class costs about 0.1 us.
 _ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
 _OUTCOME_PLUS = Outcome.PLUS
+# Honest Bob's normal-round moves, one per discrimination outcome.
+_MOVE_ZERO = BobMove(_ZERO, None, _OUTCOME_PLUS)
+_MOVE_PLUS = BobMove(_PLUS, None, Outcome.MINUS)
 
 
 class ClaimPolicy(Enum):
@@ -183,9 +186,9 @@ class _HonestBob(BobStrategy):
         if is_check:
             guess = _ZERO if rng.random() < 0.5 else _PLUS
             return BobMove(guess, received, None)
-        outcome = received.measure(BASIS_DISCRIM, rng)
-        guess = _ZERO if outcome is _OUTCOME_PLUS else _PLUS
-        return BobMove(guess, None, outcome)
+        if received.measure(BASIS_DISCRIM, rng) is _OUTCOME_PLUS:
+            return _MOVE_ZERO
+        return _MOVE_PLUS
 
 
 class _ProductAlice(AliceStrategy):
@@ -287,6 +290,9 @@ def ensemble_cheat(
     """Play a fixed mixture of states, claiming each member's assigned label."""
     if len(claims) != len(ensemble.entries):
         raise ValueError("need exactly one claim label per ensemble member")
+    for i, lab in enumerate(claims):
+        if not isinstance(lab, StateLabel):
+            raise ValueError(f"claim {i} must be a StateLabel, got {lab!r}")
     members = tuple(
         (w, s, lab) for (w, s), lab in zip(ensemble.entries, claims)
     )

@@ -410,6 +410,159 @@ def test_violation_against_warm_split_table(name):
     assert late.left == -1
 
 
+class _LateClaimAlice(AliceStrategy):
+    """Plays `inner` for `honest` rounds, then claims `value`."""
+
+    def __init__(self, inner, value, honest):
+        self.inner, self.value, self.left = inner, value, honest
+
+    def prepare(self, rng):
+        return self.inner.prepare(rng)
+
+    def claim(self, memo, own_view, bob_guess, rng):
+        claim = self.inner.claim(memo, own_view, bob_guess, rng)
+        self.left -= 1
+        return claim if self.left >= 0 else self.value
+
+
+class _LateGuessBob:
+    """Honest Bob for `honest` rounds, then announces `value` as his guess."""
+
+    def __init__(self, check_rate, value, honest):
+        self.inner, self.value, self.left = honest_bob(check_rate), value, honest
+
+    def play(self, received, is_check, rng):
+        move = self.inner.play(received, is_check, rng)
+        self.left -= 1
+        return move if self.left >= 0 else move._replace(guess=self.value)
+
+
+# (Alice factory, Bob factory, message) for announcements that are not a
+# StateLabel; the factories take the number of honest rounds first.
+NON_LABELS = {
+    "alice_claims_none": (
+        lambda k: _LateClaimAlice(honest_alice(), None, k),
+        lambda k: honest_bob(0.1),
+        "alice claimed None, which is not a StateLabel",
+    ),
+    "alice_claims_str": (
+        lambda k: _LateClaimAlice(_entangled_z(), "zero", k),
+        lambda k: honest_bob(0.1),
+        "alice claimed 'zero', which is not a StateLabel",
+    ),
+    "bob_guesses_str": (
+        lambda k: honest_alice(),
+        lambda k: _LateGuessBob(0.1, "junk", k),
+        "bob guessed 'junk', which is not a StateLabel",
+    ),
+}
+
+
+@pytest.mark.parametrize("check_rate", [0.001, 0.999], ids=["normal", "check"])
+@pytest.mark.parametrize("name", sorted(NON_LABELS))
+def test_non_label_announcement_rejected(name, check_rate):
+    # Settling on such a claim or guess would pay Alice every normal round
+    # (it never equals the other party's label), and a checking round has
+    # no basis to verify it in.
+    make_alice, make_bob, message = NON_LABELS[name]
+    exact = f"^{re.escape(message)}$"
+    params = default_params(check_rate=check_rate)
+    with pytest.raises(ProtocolViolation, match=exact):
+        run_round(make_alice(0), make_bob(0), params, RNG(23))
+    alice, bob = make_alice(300), make_bob(300)
+    with pytest.raises(ProtocolViolation, match=exact):
+        run_session(alice, bob, params, 1_000, session_rng(23))
+    late = bob if isinstance(bob, _LateGuessBob) else alice
+    assert late.left == -1
+
+
+class _KeepingBob:
+    """Honest Bob who keeps the view of his first round and plays every
+    later round on it, whatever view he is handed."""
+
+    def __init__(self, check_rate):
+        self.inner, self.kept = honest_bob(check_rate), None
+
+    def play(self, received, is_check, rng):
+        if self.kept is None:
+            self.kept = received
+        return self.inner.play(self.kept, is_check, rng)
+
+
+class TestSessionViews:
+    """A session hands each party one view, which always refers to the
+    current round; `run_round` hands out new ones every call."""
+
+    @pytest.mark.parametrize(
+        "make_alice", [honest_alice, _entangled_z], ids=["honest", "entangled_z"]
+    )
+    def test_kept_view_measures_current_round(self, make_alice):
+        params = default_params()
+        rng, ref_rng = session_rng(24), session_rng(24)
+        records, expected = [], []
+        stats = run_session(
+            make_alice(), _KeepingBob(0.1), params, 2_000, rng, on_round=records.append
+        )
+        ref = run_session(
+            make_alice(), honest_bob(0.1), params, 2_000, ref_rng, on_round=expected.append
+        )
+        assert records == expected
+        assert stats == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_kept_and_new_view_share_the_round(self):
+        class TwoViewBob(_KeepingBob):
+            def play(self, received, is_check, rng):
+                if self.kept is not None:
+                    self.kept.measure(BASIS_Z, rng)
+                    received.measure(BASIS_Z, rng)
+                return super().play(received, is_check, rng)
+
+        with pytest.raises(ProtocolViolation, match="^subsystem B was already measured$"):
+            run_session(honest_alice(), TwoViewBob(0.1), default_params(), 10, session_rng(25))
+
+    def test_stored_view_stays_measured_in_hook(self):
+        class StoringBob:
+            def __init__(self):
+                self.inner, self.stored = honest_bob(0.5), None
+
+            def play(self, received, is_check, rng):
+                move = self.inner.play(received, is_check, rng)
+                self.stored = move.stored
+                return move
+
+        bob, checked = StoringBob(), []
+
+        def hook(rec):
+            if rec.round_type is RoundType.CHECK:
+                with pytest.raises(ProtocolViolation, match="^subsystem B was already measured$"):
+                    bob.stored.measure(BASIS_Z, RNG(0))
+                checked.append(rec)
+
+        params = default_params(check_rate=0.5)
+        run_session(honest_alice(), bob, params, 200, session_rng(26), on_round=hook)
+        assert len(checked) > 50
+
+    def test_run_rounds_never_share_a_register(self):
+        params = default_params()
+        bob = _KeepingBob(params.check_rate)
+        run_round(honest_alice(), bob, params, RNG(27))
+        # The kept view still refers to the first call's register, whose
+        # qubit was measured there (by Bob or by the check).
+        with pytest.raises(ProtocolViolation, match="^subsystem B was already measured$"):
+            run_round(honest_alice(), bob, params, RNG(28))
+        views = []
+
+        class RecordingBob:
+            def play(self, received, is_check, rng):
+                views.append(received)
+                return honest_bob(0.1).play(received, is_check, rng)
+
+        for seed in (29, 30):
+            run_round(honest_alice(), RecordingBob(), params, RNG(seed))
+        assert views[0]._register is not views[1]._register
+
+
 class TestNoise:
     """The engine's channel: `RoundRegister.apply_noise` draws a real Pauli
     error on the transmitted subsystem."""

@@ -220,6 +220,15 @@ class TestEnsembleCheat:
         with pytest.raises(ValueError):
             ensemble_cheat(Ensemble(((1.0, KET_0),)), [])
 
+    @pytest.mark.parametrize("bad", ["zero", None], ids=["str", "none"])
+    def test_claims_must_be_state_labels(self, bad):
+        with pytest.raises(ValueError, match=r"^claim 0 must be a StateLabel, got "):
+            ensemble_cheat(Ensemble(((1.0, KET_0),)), [bad])
+        with pytest.raises(ValueError, match=rf"^claim 1 must be a StateLabel, got {bad!r}$"):
+            ensemble_cheat(
+                Ensemble(((0.5, KET_0), (0.5, KET_PLUS))), [StateLabel.ZERO, bad]
+            )
+
     def test_sampling_frequencies(self):
         mix = ensemble_cheat(
             Ensemble(((0.25, KET_0), (0.75, KET_PLUS))),
