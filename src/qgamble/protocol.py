@@ -90,9 +90,6 @@ class StateLabel(Enum):
         """Eigenbasis used to test a claim; the claimed state sits on `plus`."""
         return BASIS_Z if self is StateLabel.ZERO else BASIS_X
 
-    def other(self) -> "StateLabel":
-        return StateLabel.PLUS if self is StateLabel.ZERO else StateLabel.ZERO
-
 
 class RoundType(Enum):
     NORMAL = "normal"
@@ -268,7 +265,7 @@ class RoundRegister:
         """Pauli channel on the transmitted subsystem (B), in transit."""
         if eps == 0.0 or rng.random() >= eps:
             return
-        axis = PAULI_AXES[rng.integers(3)]
+        axis = PAULI_AXES[int(3.0 * rng.random())]
         if isinstance(self._state, TwoQubitPure):
             self._state = apply_pauli_pair(self._state, _B, axis)
         else:
@@ -318,23 +315,24 @@ class SubsystemView:
 
     A session hands each party one view for all its rounds, so a view
     always refers to the current round: one kept from an earlier round
-    measures this round's qubit, under this round's rules.
+    measures this round's qubit, under this round's rules.  The view holds
+    the engine's stream, and every outcome is drawn from it, never from a
+    party's own.
     """
 
-    __slots__ = ("_register", "_which", "_actor")
+    __slots__ = ("_register", "_which", "_actor", "_rng")
 
-    def __init__(self, register: RoundRegister, which: Subsystem, actor: str):
+    def __init__(self, register: RoundRegister, which: Subsystem, actor: str, rng):
         self._register = register
         self._which = which
         self._actor = actor
+        self._rng = rng
 
-    def measure(
-        self, basis: MeasurementBasis, rng, which: Subsystem | None = None
-    ) -> Outcome:
+    def measure(self, basis: MeasurementBasis, which: Subsystem | None = None) -> Outcome:
         """Measure the holder's subsystem.  Naming any other subsystem is a
         protocol violation and raises."""
         return self._register.measure(
-            self._which if which is None else which, basis, rng, self._actor
+            self._which if which is None else which, basis, self._rng, self._actor
         )
 
 
@@ -344,67 +342,58 @@ def _settle(guess: StateLabel, claim: StateLabel, params: ProtocolParams) -> flo
 
 
 def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
-    """Execute one protocol round between an Alice and a Bob strategy."""
+    """Execute one protocol round between an Alice and a Bob strategy.
+
+    Like `run_session`, it seeds the round's streams from one draw of `rng`.
+    """
     records: list = []
-    _run_rounds(alice, bob, params, 1, rng, records.append)
+    _run_rounds(alice, bob, params, 1, _streams(rng), records.append)
     return records[0]
 
 
-#: Blocks of uniforms a session draws ahead of its rounds: the first holds
-#: _BLOCK_MIN doubles and each next one twice as many, up to _BLOCK_CAP.
+#: Blocks of uniforms a stream draws ahead: the first holds _BLOCK_MIN
+#: doubles and each next one twice as many, up to _BLOCK_CAP.
 _BLOCK_MIN, _BLOCK_CAP = 16, 1024
 
 
 class _Draws:
-    """Serves a session's uniforms from blocks drawn off its Generator.
+    """One private stream: `random()` is served from blocks drawn off the
+    stream's own Generator, and every other attribute is the Generator's.
 
     `Generator.random(n)` yields the same doubles as n calls of
-    `Generator.random()`, so a block changes no draw.  The Generator runs
-    ahead of the draws used; `sync` winds it back to exactly where
-    one-at-a-time draws would leave it, by restoring the state saved
-    before the block and replaying the doubles used.  The saved state
-    includes the bit generator's 32-bit buffer, which `random` never
-    touches.  Any other use of the Generator through this object syncs
-    first and then goes to the Generator itself.
+    `Generator.random()`.  Nothing else draws from this Generator, so
+    running it ahead of the doubles used changes nobody's numbers.
     """
 
-    __slots__ = ("_rng", "_block", "_size", "_saved")
+    __slots__ = ("_rng", "_block", "_size")
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._block = iter(())
         self._size = _BLOCK_MIN // 2
-        self._saved = None
 
     def random(self, size=None, dtype=None, out=None):
-        if size is None and dtype is None and out is None:
-            for u in self._block:
-                return u
-            return self._refill()
-        self.sync()
-        return self._rng.random(size, np.float64 if dtype is None else dtype, out)
-
-    def _refill(self) -> float:
-        rng = self._rng
-        self._saved = rng.bit_generator.state
-        size = self._size = min(2 * self._size, _BLOCK_CAP)
-        self._block = block = iter(rng.random(size).tolist())
+        # Named parameters, not *args and **kwargs: an empty **kwargs dict
+        # costs about 60 ns a call, and a session makes several a round.
+        if size is not None or dtype is not None or out is not None:
+            return self._rng.random(size, np.float64 if dtype is None else dtype, out)
+        for u in self._block:
+            return u
+        n = self._size = min(2 * self._size, _BLOCK_CAP)
+        self._block = block = iter(self._rng.random(n).tolist())
         return next(block)
-
-    def sync(self) -> None:
-        """Put the Generator where one-at-a-time draws would have left it."""
-        left = operator.length_hint(self._block)
-        if left:
-            rng = self._rng
-            rng.bit_generator.state = self._saved
-            rng.random(self._size - left)
-            self._block = iter(())
 
     def __getattr__(self, name):
         if name in _Draws.__slots__:
             raise AttributeError(name)
-        self.sync()
         return getattr(self._rng, name)
+
+
+def _streams(rng) -> tuple[_Draws, _Draws, _Draws]:
+    """The private streams of the engine, Alice and Bob, seeded from one
+    `integers` draw of `rng`.  (`Generator.spawn` would need numpy 1.25.)"""
+    seeds = np.random.SeedSequence(int(rng.integers(2**63))).spawn(3)
+    return tuple(_Draws(np.random.Generator(np.random.PCG64(seed))) for seed in seeds)
 
 
 def _round_count(n_rounds) -> int:
@@ -433,55 +422,44 @@ def run_session(
     `on_round`, when given, receives every RoundRecord (transcript hook);
     without it no record is built.
 
-    A noiseless session on a `numpy.random.Generator` draws its uniforms
-    in blocks: the engine and the players receive a wrapper as `rng` that
-    serves the same doubles in the same order as the Generator would.
-    Every other use of that wrapper (`integers`, `normal`, `random(3)`,
-    `bit_generator`, ...) first puts the Generator where one-at-a-time
-    draws would have left it, and so does `run_session` on return and when
-    an exception propagates.  While the session runs, though, the
-    Generator itself is ahead of the draws used: code that draws from the
-    same Generator object other than through the `rng` argument, such as
-    an `on_round` hook or a strategy that kept its own reference to it,
-    sees different numbers than with one-at-a-time draws.  Noisy sessions
-    and other `rng` types draw directly.
+    The engine, Alice and Bob each draw from a private stream, and all
+    three are seeded from one `integers` draw of `rng`: a session advances
+    the caller's `rng` by exactly that draw.  The engine's stream draws
+    the check coins, the noise and every measurement outcome; each party
+    receives its own stream as `rng`.
     """
     n_rounds = _round_count(n_rounds)
-    draws = None
-    if type(rng) is np.random.Generator and params.noise == 0.0:
-        rng = draws = _Draws(rng)
-    try:
-        return _run_rounds(alice, bob, params, n_rounds, rng, on_round)
-    finally:
-        if draws is not None:
-            draws.sync()
+    return _run_rounds(alice, bob, params, n_rounds, _streams(rng), on_round)
 
 
-def _run_rounds(alice, bob, params, n_rounds, rng, on_round) -> SessionStats:
-    """Play up to `n_rounds` rounds on one register and one pair of views."""
+def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats:
+    """Play up to `n_rounds` rounds on one register and one pair of views;
+    `streams` are the engine's, Alice's and Bob's."""
+    rng, alice_rng, bob_rng = streams
+    draw = rng.random
     check_rate, noise = params.check_rate, params.noise
     abort_threshold = params.abort_threshold
     on_win, on_loss, on_fail = -params.win_payout, params.loss_payout, -params.penalty
     prepare, claim_of, play = alice.prepare, alice.claim, bob.play
     register = RoundRegister(None)
-    bob_view = SubsystemView(register, _B, "bob")
-    alice_view = SubsystemView(register, _A, "alice")
+    bob_view = SubsystemView(register, _B, "bob", rng)
+    alice_view = SubsystemView(register, _A, "alice", rng)
     total = total_sq = 0.0
     checks = fails = wins = played = 0
     aborted = False
     for played in range(1, n_rounds + 1):
-        prep = prepare(rng)
+        prep = prepare(alice_rng)
         register._state = prep.state
         register._pure_holder = _B
         register._a_measured = register._b_measured = False
         if noise > 0.0:
             register.apply_noise(noise, rng)
-        is_check = rng.random() < check_rate
-        move = play(bob_view, is_check, rng)
+        is_check = draw() < check_rate
+        move = play(bob_view, is_check, bob_rng)
         guess = move.guess
         if guess is not _LABEL_ZERO and guess is not _LABEL_PLUS:
             raise ProtocolViolation(f"bob guessed {guess!r}, which is not a StateLabel")
-        claim = claim_of(prep.memo, alice_view, guess, rng)
+        claim = claim_of(prep.memo, alice_view, guess, alice_rng)
         if claim is _LABEL_ZERO:
             basis = BASIS_Z
         elif claim is _LABEL_PLUS:

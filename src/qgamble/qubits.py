@@ -85,9 +85,6 @@ class Subsystem(Enum):
     A = "A"
     B = "B"
 
-    def other(self) -> "Subsystem":
-        return Subsystem.B if self is Subsystem.A else Subsystem.A
-
 
 # Per-measurement code reads enum members through these names: on Python
 # 3.11, reading a member off its Enum class costs about 0.1 us.

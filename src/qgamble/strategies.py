@@ -118,28 +118,18 @@ class NonEnumerableStrategyError(TypeError):
 class AliceStrategy(abc.ABC):
     """Sender side.  May act only on subsystem A after sending.
 
-    `rng` is a numpy Generator or, in a noiseless `run_session`, a private
-    wrapper that serves the same draws: it has the Generator's methods but
-    is not a Generator, so `np.random.default_rng(rng)` raises TypeError
-    and `isinstance(rng, np.random.Generator)` is False.  Call `rng`'s
-    methods (`random`, `integers`, ...) directly.
+    `rng` is Alice's private stream, with the methods of a numpy Generator.
     """
 
     @abc.abstractmethod
     def prepare(self, rng) -> Preparation:
-        """Produce the round's quantum register (subsystem B goes to Bob).
-
-        Draw through `rng`'s methods directly; it may be a wrapper, not a
-        Generator (see the class docstring)."""
+        """Produce the round's quantum register (subsystem B goes to Bob)."""
 
     @abc.abstractmethod
     def claim(
         self, memo: Any, own_view: SubsystemView, bob_guess: StateLabel, rng
     ) -> StateLabel:
-        """Announce the claim, optionally measuring subsystem A through the view.
-
-        Draw through `rng`'s methods directly; it may be a wrapper, not a
-        Generator (see the class docstring)."""
+        """Announce the claim, optionally measuring subsystem A through the view."""
 
     def branch_model(self) -> ProductModel | EntangledModel:
         raise NonEnumerableStrategyError(
@@ -153,20 +143,13 @@ class BobStrategy(abc.ABC):
     verification basis of Alice's claim and decides the check; a qubit Bob
     measured before the claim is a protocol violation.
 
-    `rng` is a numpy Generator or, in a noiseless `run_session`, a private
-    wrapper that serves the same draws: it has the Generator's methods but
-    is not a Generator, so `np.random.default_rng(rng)` raises TypeError
-    and `isinstance(rng, np.random.Generator)` is False.  Call `rng`'s
-    methods (`random`, `integers`, ...) directly.
+    `rng` is Bob's private stream, with the methods of a numpy Generator.
     """
 
     @abc.abstractmethod
     def play(self, received: SubsystemView, is_check: bool, rng) -> BobMove:
         """Bob's move: his guess and, in a checking round, the received
-        view as `stored`, unmeasured.
-
-        Draw through `rng`'s methods directly; it may be a wrapper, not a
-        Generator (see the class docstring)."""
+        view as `stored`, unmeasured."""
 
 
 class _HonestBob(BobStrategy):
@@ -186,7 +169,7 @@ class _HonestBob(BobStrategy):
         if is_check:
             guess = _ZERO if rng.random() < 0.5 else _PLUS
             return BobMove(guess, received, None)
-        if received.measure(BASIS_DISCRIM, rng) is _OUTCOME_PLUS:
+        if received.measure(BASIS_DISCRIM) is _OUTCOME_PLUS:
             return _MOVE_ZERO
         return _MOVE_PLUS
 
@@ -243,7 +226,7 @@ class _EntangledCheat(AliceStrategy):
 
     def claim(self, memo, own_view, bob_guess, rng) -> StateLabel:
         basis = self._basis_if_zero if bob_guess is _ZERO else self._basis_if_plus
-        if own_view.measure(basis, rng) is _OUTCOME_PLUS:
+        if own_view.measure(basis) is _OUTCOME_PLUS:
             return self._label_if_plus
         return self._label_if_minus
 
@@ -333,6 +316,11 @@ def entangled_cheat(
     table = dict(DEFAULT_OUTCOME_LABELS if label_by_outcome is None else label_by_outcome)
     if any(o not in table for o in Outcome):
         raise ValueError("outcome table must cover both outcomes")
+    for o in Outcome:
+        if not isinstance(table[o], StateLabel):
+            raise ValueError(
+                f"label for outcome {o.value} must be a StateLabel, got {table[o]!r}"
+            )
     return _EntangledCheat(state or standard_attack_state(), policy, table)
 
 

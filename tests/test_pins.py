@@ -29,6 +29,8 @@ from qgamble.protocol import (
     RoundType,
     SessionStats,
     StateLabel,
+    _run_rounds,
+    _streams,
     run_round,
     run_session,
     session_rng,
@@ -90,38 +92,38 @@ SESSIONS = {
 PINNED_STATS = {
     "honest": SessionStats(
         rounds=3000,
-        alice_gain_total=823.9191898578739,
-        transfer_sq_total=21463.51513914695,
-        check_rounds=308,
+        alice_gain_total=892.2034611053376,
+        transfer_sq_total=21793.220766631715,
+        check_rounds=348,
         check_fails=0,
-        bob_wins=2285,
+        bob_wins=2263,
         aborted=False,
     ),
     "entangled_z": SessionStats(
         rounds=3000,
-        alice_gain_total=960.487732352798,
-        transfer_sq_total=22122.92639411648,
-        check_rounds=325,
+        alice_gain_total=673.6937931134578,
+        transfer_sq_total=20738.16275868047,
+        check_rounds=287,
         check_fails=0,
-        bob_wins=2257,
+        bob_wins=2328,
         aborted=False,
     ),
     "noisy_entangled_x": SessionStats(
-        rounds=2039,
-        alice_gain_total=-19056.83275988345,
-        transfer_sq_total=24035612.003440823,
+        rounds=2027,
+        alice_gain_total=-14090.80332263201,
+        transfer_sq_total=19035407.18006433,
         check_rounds=100,
-        check_fails=24,
-        bob_wins=963,
+        check_fails=19,
+        bob_wins=960,
         aborted=True,
     ),
     "noisy_fixed": SessionStats(
-        rounds=1088,
-        alice_gain_total=-155.76118445748924,
-        transfer_sq_total=141790.4328932554,
+        rounds=1078,
+        alice_gain_total=229.75353416827184,
+        transfer_sq_total=101685.52120501014,
         check_rounds=100,
-        check_fails=13,
-        bob_wins=706,
+        check_fails=9,
+        bob_wins=701,
         aborted=True,
     ),
 }
@@ -294,29 +296,29 @@ STREAMS = {
 PINNED_STREAMS = {
     "honest_checks": (
         2000,
-        "49bda824808b49e3d9101a180ddcfffa19a7b1dc367611a4aa47cd1784f31cc5",
+        "290aaa7363099a3b421a0e3443f3b468a7d89554ea079d13c267f09af913ba46",
     ),
     "entangled_zx": (
         2000,
-        "82b486218eccbbe361ac2e7f1fbf1e585ffaa84e2a84daf23a00a27f3265f9d3",
+        "0b72da2ce1407764e33bbe89c3941ebd1145ee65c1cb678d8ab4707571273aa4",
     ),
     "noisy_fixed": (
         2000,
-        "8dbacbc9f5fdcce89df8977688b782c73cc746ffe090c4177b62599f3d95e2d9",
+        "5a05401d338174b5404a1ad53a7b9d67f4a4bb7ca9669dd21cc42da5c5084864",
     ),
     "ensemble": (
         2000,
-        "77673ada8e21e621f1b8de9d78c819925742d433ca5ac7c0ab11930ca0efcb14",
+        "d6dddd81399a35870080b889582b2f4607f81bf71e0977849978cfac34e65dc8",
     ),
     "noisy_abort": (
-        498,
-        "ac8a44e32bf3f9844cc5b327b3f9ead1cfcdf8ff23767d6fbcdf36d2d6219e31",
+        430,
+        "d4482b0aa8c52f991b2e07402ac1f3e1a5752027d85c2133060a8020c02f7f27",
     ),
 }
 
 PINNED_RUN_ROUND = (
     200,
-    "c09b8bab242bd985e42c113ba456363907c1421be3fffffe15742ef67a6f0856",
+    "47c5b60b03c7bd5b8385215f76e115c54c71f3fe0ae8f7cb7cee38e61c45bfc1",
 )
 
 
@@ -343,9 +345,10 @@ def test_run_round_stream():
 
 
 # --------------------------------------------------------------------------
-# How a session consumes its Generator.  `run_round` draws straight from the
-# Generator it is given, so a loop of `run_round` is the reference for which
-# numbers `run_session` uses and where it leaves the caller's Generator.
+# How a session consumes its streams.  A loop of one-round `_run_rounds`
+# calls on one set of streams, each call with a register, split table and
+# views of its own, is the reference for which numbers a session draws and
+# where it leaves each stream.
 
 
 class _LateViolator(BobStrategy):
@@ -360,13 +363,13 @@ class _LateViolator(BobStrategy):
         self.left -= 1
         if self.left == 0:
             rng.random()
-            received.measure(BASIS_Z, rng, which=Subsystem.A)
+            received.measure(BASIS_Z, which=Subsystem.A)
         return self.inner.play(received, is_check, rng)
 
 
 class _MixedDrawAlice(AliceStrategy):
     """Honest Alice that, every `every` rounds, also draws an integer, an
-    array and a normal from the Generator between her uniform draws."""
+    array and a normal from her stream between her uniform draws."""
 
     def __init__(self, every: int = 1):
         self.every = every
@@ -425,11 +428,13 @@ DRAW_SESSIONS = {
 DRAW_ROUNDS = (1, 7, 5_000)
 
 
-def _round_loop(alice, bob, params, n_rounds, rng, on_round):
-    """`run_session`'s ledger rules, one `run_round` at a time."""
+def _round_loop(alice, bob, params, n_rounds, streams, on_round):
+    """`run_session`'s ledger rules, one round at a time on `streams`."""
     checks = fails = 0
+    records = []
     for _ in range(n_rounds):
-        rec = run_round(alice, bob, params, rng)
+        _run_rounds(alice, bob, params, 1, streams, records.append)
+        rec = records[-1]
         on_round(rec)
         if rec.round_type is CHECK:
             checks += 1
@@ -444,17 +449,24 @@ def _after_draws(rng) -> tuple:
     return state, rng.random(), int(rng.integers(1000)), rng.random()
 
 
+def _streams_after_draws(streams) -> list:
+    return [_after_draws(stream) for stream in streams]
+
+
 @pytest.mark.parametrize("n_rounds", DRAW_ROUNDS)
 @pytest.mark.parametrize("name", sorted(DRAW_SESSIONS))
 def test_session_draws_like_a_round_loop(name, n_rounds):
     make_alice, params, seed = DRAW_SESSIONS[name]
     bob = honest_bob(params.check_rate)
-    records, rng = [], session_rng(seed)
-    run_session(make_alice(), bob, params, n_rounds, rng, on_round=records.append)
-    expected, ref_rng = [], session_rng(seed)
-    _round_loop(make_alice(), bob, params, n_rounds, ref_rng, expected.append)
+    records, streams = [], _streams(session_rng(seed))
+    _run_rounds(make_alice(), bob, params, n_rounds, streams, records.append)
+    expected, ref_streams = [], _streams(session_rng(seed))
+    _round_loop(make_alice(), bob, params, n_rounds, ref_streams, expected.append)
     assert records == expected
-    assert _after_draws(rng) == _after_draws(ref_rng)
+    assert _streams_after_draws(streams) == _streams_after_draws(ref_streams)
+    session = []
+    run_session(make_alice(), bob, params, n_rounds, session_rng(seed), on_round=session.append)
+    assert session == records
 
 
 class _FreshStateAlice(AliceStrategy):
@@ -476,17 +488,17 @@ class _FreshStateAlice(AliceStrategy):
 @pytest.mark.parametrize("noise", [0.0, 0.1])
 def test_fresh_states_get_fresh_splits(noise):
     # A session's split table is keyed by object ids; a stale entry would
-    # show as a record or a Generator state that a loop of run_round,
+    # show as a record or a stream state that a loop of one-round calls,
     # whose every round starts an empty table, does not produce.
     params = ProtocolParams(0.2, 20.0, noise=noise, abort_threshold=1.0)
     bob = honest_bob(params.check_rate)
-    records, rng = [], session_rng(52)
-    run_session(_FreshStateAlice(), bob, params, 5_000, rng, on_round=records.append)
-    expected, ref_rng = [], session_rng(52)
-    _round_loop(_FreshStateAlice(), bob, params, 5_000, ref_rng, expected.append)
+    records, streams = [], _streams(session_rng(52))
+    _run_rounds(_FreshStateAlice(), bob, params, 5_000, streams, records.append)
+    expected, ref_streams = [], _streams(session_rng(52))
+    _round_loop(_FreshStateAlice(), bob, params, 5_000, ref_streams, expected.append)
     assert len(records) == 5_000
     assert records == expected
-    assert _after_draws(rng) == _after_draws(ref_rng)
+    assert _streams_after_draws(streams) == _streams_after_draws(ref_streams)
 
 
 def test_split_table_stays_bounded():
@@ -508,19 +520,22 @@ def test_split_table_stays_bounded():
 
 def test_violation_leaves_generator_where_round_loop_does():
     params = ProtocolParams(0.2, 20.0)
-    rng, ref_rng = session_rng(49), session_rng(49)
+    streams, ref_streams = _streams(session_rng(49)), _streams(session_rng(49))
     with pytest.raises(ProtocolViolation, match="bob attempted to measure subsystem A"):
-        run_session(honest_alice(), _LateViolator(0.2, 300), params, 1_000, rng)
+        _run_rounds(honest_alice(), _LateViolator(0.2, 300), params, 1_000, streams, None)
     with pytest.raises(ProtocolViolation, match="bob attempted to measure subsystem A"):
         _round_loop(
-            honest_alice(), _LateViolator(0.2, 300), params, 1_000, ref_rng, lambda rec: None
+            honest_alice(), _LateViolator(0.2, 300), params, 1_000, ref_streams, lambda rec: None
         )
-    assert _after_draws(rng) == _after_draws(ref_rng)
+    assert _streams_after_draws(streams) == _streams_after_draws(ref_streams)
 
 
-def _session_digest(stats, rng) -> str:
-    """sha256 over the stats, the Generator's state and its next three draws."""
+def _session_digest(stats, rng, streams) -> str:
+    """sha256 over the stats, then the state and next three draws of the
+    caller's Generator and of each stream."""
     payload = [None if stats is None else dataclasses.astuple(stats), *_after_draws(rng)]
+    for stream in streams:
+        payload += _after_draws(stream)
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -529,61 +544,63 @@ def _pinned_digests(name) -> list[str]:
     digests = []
     for n_rounds in DRAW_ROUNDS:
         rng = session_rng(seed)
-        stats = run_session(make_alice(), honest_bob(params.check_rate), params, n_rounds, rng)
-        digests.append(_session_digest(stats, rng))
+        streams = _streams(rng)
+        bob = honest_bob(params.check_rate)
+        stats = _run_rounds(make_alice(), bob, params, n_rounds, streams, None)
+        digests.append(_session_digest(stats, rng, streams))
     return digests
 
 
 # sha256 per n_rounds in DRAW_ROUNDS.
 PINNED_DRAWS = {
     "aborting": [
-        "bf9dc156b16a3efa1be3b58f711200a166b4469183f42277553d5c8028cc2247",
-        "406e96744e37d40a6e7be79a51bd5f3d35805c3361b3c69bf000ff2d60465896",
-        "e1db8b95b895386e309bea1f857ab6bc9f2336b929ecf49703ab03ff5b06d3a9",
+        "0a14020189985407d14fa8585742b9a5e20deba99fb8dcfadebe83b32e63a9c9",
+        "6c0dc071ec158ead08a18ded5357ac4b1282e2c9bdd4102cd6d7d60c1621ae45",
+        "48c44122f55e14d0d39e1535253d71a18a29825e772ad75027695d7383ecd982",
     ],
     "ensemble": [
-        "409264d415e82850690f6ab911e1a2b37e8d65e0d6e5e3511076dfff897b0e19",
-        "103b31a1c33a7a64e3a160f3adf0e8cbddea7421fdcee2c7fe5cd6d7d10cf692",
-        "a40d17785b5cbf27ca8972736f188e84b4a3c8bffd95be0035b2757a19d743db",
+        "d96d76b7909a7a79470b328b11c2356f74175b5e07cea375ea8bb2bd73f9a978",
+        "4c0402c3189e8b96e7701a5aa1a2a1ad8fb40974be9ddd2479838d7e9fdf1e60",
+        "4b7b5ba16b906b68ece72ea935baaea767fd3fd3c17ccf3335f837c25db37506",
     ],
     "entangled_z": [
-        "af2dfea2e0c4cb12a9f32ea0147b1403ad4125153790f00382153073e1eb281d",
-        "32d73e6e0e3054c77f2e1459aac4e0ec4da10ed05c6c0eb788d141d94ccf9405",
-        "ee31a3d0cd06918d23c0f21ce6c51470ce11c33ae29b3ed38f08b7f58d0245dd",
+        "2639628518fbf57e345508113cb6b1a5ead775032e347da61026b828f17ad829",
+        "30a515b090368a7b98daa9e78a97f19d1c5bb4d1fb5191dd2ad1f995427f9f90",
+        "aab31f6c4956ccf5bf0b6b3261a79dbed7eae787b4b2a2ff6988241d9a3aabd4",
     ],
     "entangled_zx": [
-        "ec6eee14725aa83522325f03708ee25a156beb3f1fdd5d5b34f50ea5bbbbe2b7",
-        "27e3cfacf9df4ebaea6f8ffdb11c2191d16639eda29c8007ad453c74ea38cb62",
-        "1868b4ad66cac86ce89e3cf24a80eb2cc2086eb6bf4ebed553f1c64e89010f19",
+        "8314410f6fea5e23ceab36c707eb476b1ec9a2d9e95a9272765eaea3c95c3ab5",
+        "deff7a5c769100fe1f0a3be80d384df2c47fb648a96fe780890e4e0f5d76a61f",
+        "157375375ade1ef8f55383fc9f2e14ab9b76fa0e246af487c1f73fb2b73a47b8",
     ],
     "fixed": [
-        "8d405deae4d2e2f569aef01fb79e19d0830dd1de0cf4a7ef37a537f2391e3dfe",
-        "c6c1bea14f9494752743802dbc24867bfd24d1c35a418bd99c733ef65169e6fb",
-        "aaa045097b19ba39da05446afebb7a317f8c9d4e2d58be5e00c0ffd76e92283d",
+        "3686fbeadc3c95eaee7bf7d7649c82f005b09205d8a166f5a08643835a4058b7",
+        "a50d08984c43be74eaa1ffaa94dbd090ac932d5da737034f2c1ab782b0df6833",
+        "eea17c878113b99822aca0f6a06ec1124d878cddd8ce9a953ec4d575e527102a",
     ],
     "honest": [
-        "980cf271add520f734f759b7b89047eb7d117fd9f2b32189ca57dcb9f5300e4e",
-        "81559ee13d328adc2d69d74fff958d701eab96a2e76b8ba859624e729469394c",
-        "340583f5af71659b0e468ea5bfd128d0b36d800760c4c6a88847f5b814097fd5",
+        "a24f7ac0c6d81514087a634bc5be8f57dd4d92b3a34bcdded5879730c8c9a93e",
+        "9aeafaa3cdef38d4d53661fc4ba690a963b45c06700c4febfb97a13a5ea889ae",
+        "73cedf8a9ef5e38d0fe36e92b889d9948ea7d8eab94153c4b20ec09d2fe96564",
     ],
     "mixed_draws": [
-        "0df62742d143ad9411d9a60747bf551b6994d7667ca155fb2947bb4f42d3eacc",
-        "c02660abb0eb3c0ed0dac841f5f8b583baf5d9fde932afb77998feba36adb2bb",
-        "352e790e547dac8a7800f97005db5bc9e74d6d2a375a81634ed73e943ce82078",
-    ],
-    "rare_mixed_draws": [
-        "814f467d5e5787a02cf5047cf501882c3523901aa117c485dd0e73c90a12c16b",
-        "faf659b107a9b2f9a61ed57e472bf542debae9ef8c499dae739d5c3c28d32001",
-        "19bdbb6776b7e6cc3726d3b29fb7f3a8e01ae844123f898549aa14f6c226eef0",
+        "c675cc6f2b8e4009983182aa85c4d94589fe96e2db713e91b363ea335ac6bdfe",
+        "e4b1e9478c01b71f81669de815b1c0a864b0a464ae4397e4c78e01439b1f51d4",
+        "56289387d9992b03c7020cab52a8748f87d2a855eb86d81b16967cb3208b0dfa",
     ],
     "noisy": [
-        "92c610a0367ebe64c9383320ca549e7ce2040ee5cc08e1381e0d2cfbf1b25574",
-        "32b435c836d393e75a36602caff587cbe40daf6b9e4e1d7a090080aafd192f45",
-        "02ed5dd990ad3705e19377d9c631b98c8398e1508920f48513ad4082c938eb6a",
+        "7fa49726a436e509672a73c00f98c03ab9207f449c45087dea89dfe81ff57abd",
+        "a295e5893486d0ecaba9f18a79da9107a434e2d653e4ee670e36e50802ad165f",
+        "f93854f201588221e67bf68f86e1cd1e4c79e807b56e945b8134c946859c9660",
+    ],
+    "rare_mixed_draws": [
+        "86d8a0ea1f0cc95c16e46b86c30dcf05229cba87026b119aa89c5f20b352b1e8",
+        "274dfc01c6a74dc93ecdfd069607190348f33c9d2832abdf157d0a30c13129fc",
+        "20e1af4b23b05d7ebe580dafc5cd13a862d562c9ea48a4e20d7705fce97d41e8",
     ],
 }
 
-PINNED_VIOLATION_DRAWS = "eb4b64a782d1f57985e6e4764c38f4af4d5d2456fb64e98b2ef2f690833bd2d0"
+PINNED_VIOLATION_DRAWS = "49db3ca15b23738e9b769a7a89feb2048458a3514705582910eaa5f1007a064f"
 
 
 @pytest.mark.parametrize("name", sorted(DRAW_SESSIONS))
@@ -593,6 +610,9 @@ def test_seeded_session_draws(name):
 
 def test_seeded_violation_draws():
     rng = session_rng(50)
+    streams = _streams(rng)
     with pytest.raises(ProtocolViolation):
-        run_session(honest_alice(), _LateViolator(0.2, 300), ProtocolParams(0.2, 20.0), 1_000, rng)
-    assert _session_digest(None, rng) == PINNED_VIOLATION_DRAWS
+        _run_rounds(
+            honest_alice(), _LateViolator(0.2, 300), ProtocolParams(0.2, 20.0), 1_000, streams, None
+        )
+    assert _session_digest(None, rng, streams) == PINNED_VIOLATION_DRAWS

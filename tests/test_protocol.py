@@ -38,8 +38,10 @@ from qgamble.qubits import (
     KET_0,
     KET_MINUS,
     KET_PLUS,
+    OPTIMAL_GUESS_PROB,
     PAULI_AXES,
     Ensemble,
+    MeasurementBasis,
     Outcome,
     Subsystem,
     apply_pauli,
@@ -180,7 +182,7 @@ class TestRunRound:
                 checks += 1
                 # The engine spent the stored qubit on the verdict, exactly once.
                 with pytest.raises(ProtocolViolation, match="already measured"):
-                    spy.stored.measure(BASIS_Z, rng)
+                    spy.stored.measure(BASIS_Z)
         assert checks > 70
 
     @pytest.mark.parametrize("forgery", ["verify_fail", "stand_in"])
@@ -190,7 +192,7 @@ class TestRunRound:
         params = default_params(check_rate=0.5)
 
         class StandIn:
-            def measure(self, basis, rng, which=None):
+            def measure(self, basis, which=None):
                 return Outcome.MINUS
 
         class ForgingBob:
@@ -219,7 +221,7 @@ class TestRunRound:
                 return Preparation(KET_0)
 
             def claim(self, memo, own_view, bob_guess, rng):
-                own_view.measure(BASIS_Z, rng, which=Subsystem.B)
+                own_view.measure(BASIS_Z, which=Subsystem.B)
                 return StateLabel.ZERO
 
         with pytest.raises(ProtocolViolation):
@@ -234,7 +236,7 @@ class TestRunRound:
                 return Preparation(KET_0)
 
             def claim(self, memo, own_view, bob_guess, rng):
-                own_view.measure(BASIS_Z, rng)
+                own_view.measure(BASIS_Z)
                 return StateLabel.ZERO
 
         with pytest.raises(ProtocolViolation):
@@ -245,8 +247,8 @@ class TestRunRound:
 
         class GreedyBob:
             def play(self, received, is_check, rng):
-                received.measure(BASIS_Z, rng)
-                received.measure(BASIS_Z, rng)
+                received.measure(BASIS_Z)
+                received.measure(BASIS_Z)
                 return BobMove(StateLabel.ZERO, None, Outcome.PLUS)
 
         with pytest.raises(ProtocolViolation):
@@ -260,8 +262,8 @@ class TestRunRound:
                 return Preparation(standard_attack_state())
 
             def claim(self, memo, own_view, bob_guess, rng):
-                own_view.measure(BASIS_Z, rng)
-                own_view.measure(BASIS_Z, rng)
+                own_view.measure(BASIS_Z)
+                own_view.measure(BASIS_Z)
                 return StateLabel.ZERO
 
         with pytest.raises(ProtocolViolation, match="subsystem A was already measured"):
@@ -272,7 +274,7 @@ class TestRunRound:
 
         class PeekingBob:
             def play(self, received, is_check, rng):
-                received.measure(BASIS_Z, rng, which=Subsystem.A)
+                received.measure(BASIS_Z, which=Subsystem.A)
                 return BobMove(StateLabel.ZERO, None, Outcome.PLUS)
 
         alice = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
@@ -287,7 +289,7 @@ class TestRunRound:
 
         class EagerBob:
             def play(self, received, is_check, rng):
-                outcome = received.measure(basis, rng)
+                outcome = received.measure(basis)
                 guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
                 return BobMove(guess, received if is_check else None, outcome)
 
@@ -309,21 +311,21 @@ class TestRunRound:
                 run_round(honest_alice(), ForgetfulBob(), params, rng)
 
 
-def _rogue_alice(own_view, rng):
-    own_view.measure(BASIS_Z, rng, which=Subsystem.B)
+def _rogue_alice(own_view):
+    own_view.measure(BASIS_Z, which=Subsystem.B)
 
 
-def _measure_once(view, rng):
-    view.measure(BASIS_Z, rng)
+def _measure_once(view):
+    view.measure(BASIS_Z)
 
 
-def _measure_twice(view, rng):
-    view.measure(BASIS_Z, rng)
-    view.measure(BASIS_Z, rng)
+def _measure_twice(view):
+    view.measure(BASIS_Z)
+    view.measure(BASIS_Z)
 
 
-def _peeking_bob(received, rng):
-    received.measure(BASIS_Z, rng, which=Subsystem.A)
+def _peeking_bob(received):
+    received.measure(BASIS_Z, which=Subsystem.A)
 
 
 class _LateAlice(AliceStrategy):
@@ -339,7 +341,7 @@ class _LateAlice(AliceStrategy):
     def claim(self, memo, own_view, bob_guess, rng):
         self.left -= 1
         if self.left < 0:
-            self.violate(own_view, rng)
+            self.violate(own_view)
         return self.inner.claim(memo, own_view, bob_guess, rng)
 
 
@@ -353,7 +355,7 @@ class _LateBob:
     def play(self, received, is_check, rng):
         self.left -= 1
         if self.left < 0:
-            self.violate(received, rng)
+            self.violate(received)
         return self.inner.play(received, is_check, rng)
 
 
@@ -514,8 +516,8 @@ class TestSessionViews:
         class TwoViewBob(_KeepingBob):
             def play(self, received, is_check, rng):
                 if self.kept is not None:
-                    self.kept.measure(BASIS_Z, rng)
-                    received.measure(BASIS_Z, rng)
+                    self.kept.measure(BASIS_Z)
+                    received.measure(BASIS_Z)
                 return super().play(received, is_check, rng)
 
         with pytest.raises(ProtocolViolation, match="^subsystem B was already measured$"):
@@ -536,7 +538,7 @@ class TestSessionViews:
         def hook(rec):
             if rec.round_type is RoundType.CHECK:
                 with pytest.raises(ProtocolViolation, match="^subsystem B was already measured$"):
-                    bob.stored.measure(BASIS_Z, RNG(0))
+                    bob.stored.measure(BASIS_Z)
                 checked.append(rec)
 
         params = default_params(check_rate=0.5)
@@ -831,8 +833,6 @@ class TestFastSession:
             run_session_fast(members, default_params(), 1_000, session_rng(40))
 
     def test_win_rate_near_optimum(self):
-        from qgamble.qubits import OPTIMAL_GUESS_PROB
-
         params = ProtocolParams(0.01, 10_000.0)
         stats = run_session_fast(
             honest_alice().branch_model().members, params, 400_000, session_rng(47)
@@ -994,3 +994,150 @@ class TestSessionRng:
 
     def test_streams_repeat(self):
         assert session_rng(7, 3).random(4).tolist() == session_rng(7, 3).random(4).tolist()
+
+    def test_session_and_round_take_one_draw(self):
+        # Every stream of a session or a round is seeded from one draw.
+        params = default_params(noise=0.1)
+        for play in (
+            lambda rng: run_session(honest_alice(), honest_bob(0.1), params, 500, rng),
+            lambda rng: run_round(_entangled_z(), honest_bob(0.1), params, rng),
+        ):
+            rng, ref_rng = session_rng(9), session_rng(9)
+            play(rng)
+            ref_rng.integers(2**63)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# --------------------------------------------------------------------------
+# Attackers that read the stream they are handed.  Each copies the state of
+# its `rng` into a fresh Generator and reads that copy's next uniforms
+# through the public numpy API.  Were the stream shared with the engine or
+# with the other party, those would be the check coin, Alice's preparation
+# coin or the Born draw of Bob's own measurement.
+
+
+def _peek(rng) -> np.random.Generator:
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+class _CheckPredictingAlice(AliceStrategy):
+    """Sends |0> and reads her copy for the engine's check coin.  She claims
+    ZERO, which passes a check, when she predicts one, and otherwise claims
+    the opposite of Bob's guess, which wins a normal round."""
+
+    def __init__(self, check_rate):
+        self.check_rate = check_rate
+
+    def prepare(self, rng):
+        return Preparation(KET_0, _peek(rng).random() < self.check_rate)
+
+    def claim(self, memo, own_view, bob_guess, rng):
+        if memo or bob_guess is StateLabel.PLUS:
+            return StateLabel.ZERO
+        return StateLabel.PLUS
+
+
+class _PreparationPredictingBob:
+    """Never measures.  Guesses from the uniform he read last round for
+    honest Alice's next preparation, past the verdict draw of a check."""
+
+    def __init__(self):
+        self.predicted = 0.5
+
+    def play(self, received, is_check, rng):
+        guess = StateLabel.ZERO if self.predicted < 0.5 else StateLabel.PLUS
+        copy = _peek(rng)
+        if is_check:
+            copy.random()
+        self.predicted = copy.random()
+        return BobMove(guess, received if is_check else None, None)
+
+
+_ANTI_X = MeasurementBasis(KET_MINUS, KET_PLUS)
+
+
+class _BornPeekingBob:
+    """Reads the uniform his measurement's outcome would be drawn from and
+    picks the basis in which that uniform separates |0> from |+>: z when it
+    exceeds 1/2, where |+> alone can give MINUS, and (|->, |+>) otherwise,
+    where |0> alone can give PLUS.  The engine draws the outcome."""
+
+    def play(self, received, is_check, rng):
+        if is_check:
+            return BobMove(StateLabel.ZERO, received, None)
+        basis = BASIS_Z if _peek(rng).random() > 0.5 else _ANTI_X
+        outcome = received.measure(basis)
+        guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
+        return BobMove(guess, None, outcome)
+
+
+class TestPrivateStreams:
+    """At the paper's check rate for R = 1e4, abort off.  With one stream
+    shared by the engine and both parties, the Alice below earned 5.78 per
+    round with no check failed, and both Bobs won every normal round."""
+
+    R = 10_000.0
+    N = 20_000
+
+    def params(self):
+        return ProtocolParams(optimal_check_rate(self.R).check_rate, self.R, abort_threshold=1.0)
+
+    def test_alice_cannot_predict_checks(self):
+        params = self.params()
+        alice = _CheckPredictingAlice(params.check_rate)
+        stats = run_session(alice, honest_bob(params.check_rate), params, self.N, session_rng(1))
+        mc = monte_carlo_gain(stats)
+        assert stats.check_fails > 0
+        assert mc.mean + 4.0 * mc.std_error < optimal_check_rate(self.R).gain_cap
+
+    def test_bob_cannot_predict_preparations(self):
+        params = self.params()
+        stats = run_session(
+            honest_alice(), _PreparationPredictingBob(), params, self.N, session_rng(2)
+        )
+        sigma = math.sqrt(0.25 / stats.normal_rounds)
+        assert abs(stats.normal_win_rate - 0.5) < 4.0 * sigma
+
+    def test_engine_draws_leave_party_streams_alone(self):
+        # Neither party draws, and each measures whenever the rules let it:
+        # the check coins, the noise and every outcome come from the
+        # engine's stream, so each party's stream ends where it started.
+        # The attackers above copy a state that blocks run ahead of, so
+        # this is what shows a stream shared with the engine.
+        seen = {}
+
+        class StillAlice(AliceStrategy):
+            inner = _entangled_z()
+
+            def prepare(self, rng):
+                seen.setdefault("alice", (rng, rng.bit_generator.state))
+                return self.inner.prepare(rng)
+
+            def claim(self, memo, own_view, bob_guess, rng):
+                return self.inner.claim(memo, own_view, bob_guess, rng)
+
+        class StillBob:
+            def play(self, received, is_check, rng):
+                seen.setdefault("bob", (rng, rng.bit_generator.state))
+                if is_check:
+                    return BobMove(StateLabel.ZERO, received, None)
+                outcome = received.measure(BASIS_DISCRIM)
+                guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
+                return BobMove(guess, None, outcome)
+
+        params = default_params(check_rate=0.2, noise=0.1, abort_threshold=1.0)
+        stats = run_session(StillAlice(), StillBob(), params, 2_000, session_rng(8))
+        assert stats.rounds == 2_000
+        (alice_rng, alice_state), (bob_rng, bob_state) = seen["alice"], seen["bob"]
+        assert alice_rng is not bob_rng
+        assert alice_rng.bit_generator.state == alice_state
+        assert bob_rng.bit_generator.state == bob_state
+
+    def test_bob_cannot_predict_outcomes(self):
+        params = self.params()
+        stats = run_session(honest_alice(), _BornPeekingBob(), params, self.N, session_rng(3))
+        p = OPTIMAL_GUESS_PROB
+        sigma = math.sqrt(p * (1.0 - p) / stats.normal_rounds)
+        assert stats.normal_win_rate < p + 4.0 * sigma

@@ -296,6 +296,17 @@ class TestEntangledCheat:
         with pytest.raises(ValueError, match="outcome table must cover both outcomes"):
             entangled_cheat({lab: BASIS_Z for lab in StateLabel}, label_by_outcome=table)
 
+    @pytest.mark.parametrize("bad", ["zero", None], ids=["str", "none"])
+    def test_outcome_labels_must_be_state_labels(self, bad):
+        # Built, such a table would make the oracle fail with AttributeError.
+        policy = {lab: BASIS_Z for lab in StateLabel}
+        with pytest.raises(
+            ValueError, match=rf"^label for outcome plus must be a StateLabel, got {bad!r}$"
+        ):
+            entangled_cheat(policy, {Outcome.PLUS: bad, Outcome.MINUS: StateLabel.PLUS})
+        with pytest.raises(ValueError, match="^label for outcome minus must be a StateLabel"):
+            entangled_cheat(policy, {Outcome.PLUS: StateLabel.ZERO, Outcome.MINUS: bad})
+
     def test_callable_policy(self):
         attack = entangled_cheat(lambda guess: BASIS_Z)
         model = attack.branch_model()
