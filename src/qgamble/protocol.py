@@ -344,7 +344,9 @@ def _settle(guess: StateLabel, claim: StateLabel, params: ProtocolParams) -> flo
 def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
     """Execute one protocol round between an Alice and a Bob strategy.
 
-    Like `run_session`, it seeds the round's streams from one draw of `rng`.
+    Like `run_session`, it seeds three private streams from `rng`.  The
+    three `PCG64` seedings cost several times the round itself, so play
+    many rounds with `run_session`, which seeds once.
     """
     records: list = []
     _run_rounds(alice, bob, params, 1, _streams(rng), records.append)
@@ -390,9 +392,15 @@ class _Draws:
 
 
 def _streams(rng) -> tuple[_Draws, _Draws, _Draws]:
-    """The private streams of the engine, Alice and Bob, seeded from one
-    `integers` draw of `rng`.  (`Generator.spawn` would need numpy 1.25.)"""
-    seeds = np.random.SeedSequence(int(rng.integers(2**63))).spawn(3)
+    """The private streams of the engine, Alice and Bob, each seeded from
+    its own draw of one `rng.integers(2**63, size=3)` call.
+
+    A party can read its own seed (`bit_generator.seed_seq`), and one
+    draw of `rng` does not give the others.  The children of one
+    `SeedSequence.spawn` share their entropy, so each party could rebuild
+    the others' streams from its own.
+    """
+    seeds = rng.integers(2**63, size=3).tolist()
     return tuple(_Draws(np.random.Generator(np.random.PCG64(seed))) for seed in seeds)
 
 
@@ -422,11 +430,11 @@ def run_session(
     `on_round`, when given, receives every RoundRecord (transcript hook);
     without it no record is built.
 
-    The engine, Alice and Bob each draw from a private stream, and all
-    three are seeded from one `integers` draw of `rng`: a session advances
-    the caller's `rng` by exactly that draw.  The engine's stream draws
-    the check coins, the noise and every measurement outcome; each party
-    receives its own stream as `rng`.
+    The engine, Alice and Bob each draw from a private stream, each
+    seeded from its own draw of one `rng.integers(2**63, size=3)` call: a
+    session advances the caller's `rng` by exactly that call.  The
+    engine's stream draws the check coins, the noise and every
+    measurement outcome; each party receives its own stream as `rng`.
     """
     n_rounds = _round_count(n_rounds)
     return _run_rounds(alice, bob, params, n_rounds, _streams(rng), on_round)

@@ -92,38 +92,38 @@ SESSIONS = {
 PINNED_STATS = {
     "honest": SessionStats(
         rounds=3000,
-        alice_gain_total=892.2034611053376,
-        transfer_sq_total=21793.220766631715,
-        check_rounds=348,
+        alice_gain_total=448.35569799683003,
+        transfer_sq_total=19650.134187980748,
+        check_rounds=271,
         check_fails=0,
-        bob_wins=2263,
+        bob_wins=2346,
         aborted=False,
     ),
     "entangled_z": SessionStats(
         rounds=3000,
-        alice_gain_total=673.6937931134578,
-        transfer_sq_total=20738.16275868047,
-        check_rounds=287,
+        alice_gain_total=701.0075016124417,
+        transfer_sq_total=20870.045009674377,
+        check_rounds=291,
         check_fails=0,
-        bob_wins=2328,
+        bob_wins=2322,
         aborted=False,
     ),
     "noisy_entangled_x": SessionStats(
-        rounds=2027,
-        alice_gain_total=-14090.80332263201,
-        transfer_sq_total=19035407.18006433,
+        rounds=2408,
+        alice_gain_total=-30375.911836921812,
+        transfer_sq_total=36040980.528978616,
         check_rounds=100,
-        check_fails=19,
-        bob_wins=960,
+        check_fails=36,
+        bob_wins=1172,
         aborted=True,
     ),
     "noisy_fixed": SessionStats(
-        rounds=1078,
-        alice_gain_total=229.75353416827184,
-        transfer_sq_total=101685.52120501014,
+        rounds=963,
+        alice_gain_total=-628.2119779463159,
+        transfer_sq_total=170211.72813232176,
         check_rounds=100,
-        check_fails=9,
-        bob_wins=701,
+        check_fails=16,
+        bob_wins=623,
         aborted=True,
     ),
 }
@@ -296,29 +296,29 @@ STREAMS = {
 PINNED_STREAMS = {
     "honest_checks": (
         2000,
-        "290aaa7363099a3b421a0e3443f3b468a7d89554ea079d13c267f09af913ba46",
+        "c4bdd0264d826e5ce3115ff830abe6b5061b244349adc9b48a7a59ac130b732c",
     ),
     "entangled_zx": (
         2000,
-        "0b72da2ce1407764e33bbe89c3941ebd1145ee65c1cb678d8ab4707571273aa4",
+        "48587b8edd365c3461522ca8829b1669e4624beb629507dd11d106e9ab734b37",
     ),
     "noisy_fixed": (
         2000,
-        "5a05401d338174b5404a1ad53a7b9d67f4a4bb7ca9669dd21cc42da5c5084864",
+        "e56ea6a6f3da403be2693098f287602659d8c36c1902a9100929e5ebad851061",
     ),
     "ensemble": (
         2000,
-        "d6dddd81399a35870080b889582b2f4607f81bf71e0977849978cfac34e65dc8",
+        "79f328e5a1516329bf37c1535b08eceff9a78340f126fa060d909f99c3d87c24",
     ),
     "noisy_abort": (
-        430,
-        "d4482b0aa8c52f991b2e07402ac1f3e1a5752027d85c2133060a8020c02f7f27",
+        496,
+        "2bb2b84bad5bc8d18e574448aa8cfe43f27b52b7e14b62acc84b94c83a2c049f",
     ),
 }
 
 PINNED_RUN_ROUND = (
     200,
-    "47c5b60b03c7bd5b8385215f76e115c54c71f3fe0ae8f7cb7cee38e61c45bfc1",
+    "fb5c5c65daf689b5499bfce4ecd1375693ee8201bf8862bd120331b59499e685",
 )
 
 
@@ -554,53 +554,53 @@ def _pinned_digests(name) -> list[str]:
 # sha256 per n_rounds in DRAW_ROUNDS.
 PINNED_DRAWS = {
     "aborting": [
-        "0a14020189985407d14fa8585742b9a5e20deba99fb8dcfadebe83b32e63a9c9",
-        "6c0dc071ec158ead08a18ded5357ac4b1282e2c9bdd4102cd6d7d60c1621ae45",
-        "48c44122f55e14d0d39e1535253d71a18a29825e772ad75027695d7383ecd982",
+        "00e88484541f45693578f0ae38eef9f74ec659b7e0271d4afd6358bb9fd08447",
+        "ee99e9cd6efff83623d8d02da7b625b0c5f99ec3d35b35daeec7ef49dcee104f",
+        "8e0029f7478fbc92186fc1ffdb6834177e4384ae981ddbc9d0f6a5e2f695e0cc",
     ],
     "ensemble": [
-        "d96d76b7909a7a79470b328b11c2356f74175b5e07cea375ea8bb2bd73f9a978",
-        "4c0402c3189e8b96e7701a5aa1a2a1ad8fb40974be9ddd2479838d7e9fdf1e60",
-        "4b7b5ba16b906b68ece72ea935baaea767fd3fd3c17ccf3335f837c25db37506",
+        "d403a36f49c4db99758b3337973f7e9ac74729bf53257132b678d7c2f1568e3f",
+        "459b60c839429cd524549b4b2c8f3a32c337d3c67e7412a9b04ca32b1bea40a6",
+        "c2bc2d22f323adcd3a55ea52ea8d2b74c5de657ef249395a2dce0aa280dd24c6",
     ],
     "entangled_z": [
-        "2639628518fbf57e345508113cb6b1a5ead775032e347da61026b828f17ad829",
-        "30a515b090368a7b98daa9e78a97f19d1c5bb4d1fb5191dd2ad1f995427f9f90",
-        "aab31f6c4956ccf5bf0b6b3261a79dbed7eae787b4b2a2ff6988241d9a3aabd4",
+        "edcc717ef1e9b0ca6970b372fcf88a452dfc1024ec7843cf431607cf565398eb",
+        "cfd4d964d2d8b94f1d8d4beeac49452b6dd332f12ff8b49c744ad74a20650602",
+        "f16ba0e072761df51776d838a0624c67a74f0e4095d44fc54974a191f0e12569",
     ],
     "entangled_zx": [
-        "8314410f6fea5e23ceab36c707eb476b1ec9a2d9e95a9272765eaea3c95c3ab5",
-        "deff7a5c769100fe1f0a3be80d384df2c47fb648a96fe780890e4e0f5d76a61f",
-        "157375375ade1ef8f55383fc9f2e14ab9b76fa0e246af487c1f73fb2b73a47b8",
+        "f2860fa81f27d1971980515bed6fa86926d24c7877e35746acd364bd9e2b28ef",
+        "dbe326b93ef24be50d659e8100c8c69ca51501225f0d463bc4708c493cef4b04",
+        "932d95fc5d1ca7ea29ba21746f67de4b9307c8cf2da7e871d3619da630148864",
     ],
     "fixed": [
-        "3686fbeadc3c95eaee7bf7d7649c82f005b09205d8a166f5a08643835a4058b7",
-        "a50d08984c43be74eaa1ffaa94dbd090ac932d5da737034f2c1ab782b0df6833",
-        "eea17c878113b99822aca0f6a06ec1124d878cddd8ce9a953ec4d575e527102a",
+        "7725f4c22b3de4dcded66bbd1733eebce75368a21eabe54e1e6e3abc41b2c78f",
+        "3d9607403ff59155c3f9257e4ec3ec46269e21cd3cc51f6b23d0ea89c7f720bb",
+        "87ba24b0f421ec5bb8e2b5f14a8ff207ea6803b91bfd651073390fb04307ea1e",
     ],
     "honest": [
-        "a24f7ac0c6d81514087a634bc5be8f57dd4d92b3a34bcdded5879730c8c9a93e",
-        "9aeafaa3cdef38d4d53661fc4ba690a963b45c06700c4febfb97a13a5ea889ae",
-        "73cedf8a9ef5e38d0fe36e92b889d9948ea7d8eab94153c4b20ec09d2fe96564",
+        "f833db8e3bb1663e9f75383baf515c64f50dc120d69b186b69787cb5ee1cc8b3",
+        "04726036839918e979c24cc36c14f486ada440729aca4eb3986f58dcfb8994ba",
+        "ee5164ffabcaf44dbddcff12d3609a57e8eeeb42f712165b24a4ac13ac2e397d",
     ],
     "mixed_draws": [
-        "c675cc6f2b8e4009983182aa85c4d94589fe96e2db713e91b363ea335ac6bdfe",
-        "e4b1e9478c01b71f81669de815b1c0a864b0a464ae4397e4c78e01439b1f51d4",
-        "56289387d9992b03c7020cab52a8748f87d2a855eb86d81b16967cb3208b0dfa",
+        "03eaaebb26b8de92a91b5f8b6699e4713d2541af07521c0d9e9aa5a0b82ff71d",
+        "3735f267bb396a4b201ab2eb5b2b93063daf01cb500c9e28658d5842d1374404",
+        "074ed44433d370faed40d3b62324f15507b774b9c84789680b34ca3e72efcf1d",
     ],
     "noisy": [
-        "7fa49726a436e509672a73c00f98c03ab9207f449c45087dea89dfe81ff57abd",
-        "a295e5893486d0ecaba9f18a79da9107a434e2d653e4ee670e36e50802ad165f",
-        "f93854f201588221e67bf68f86e1cd1e4c79e807b56e945b8134c946859c9660",
+        "4bf72229ec6c302982a6ec346701f0947a085628fc96865bc20328f920b392dd",
+        "9b45ec4e201c0aa417c11a80a6525b8fcb7378b69495eb18034ad084738fa397",
+        "cce0ac55ac532e49d5c9d65345d2fc7460fe28d62d3c9cc5583ef0f02ef38bf6",
     ],
     "rare_mixed_draws": [
-        "86d8a0ea1f0cc95c16e46b86c30dcf05229cba87026b119aa89c5f20b352b1e8",
-        "274dfc01c6a74dc93ecdfd069607190348f33c9d2832abdf157d0a30c13129fc",
-        "20e1af4b23b05d7ebe580dafc5cd13a862d562c9ea48a4e20d7705fce97d41e8",
+        "4d71cc650b194523e2dafed1df3eef6b98e366d41b13aacfe06265b2f0d0859a",
+        "fdadb5f098085a57a65d2b6aacc9e4100e46387867daaeb3e7220a4d82bc6050",
+        "1002b94373ee9edfa49fe2261f93d5b5b58c60c1960d9ec08a96423c7feb3ea8",
     ],
 }
 
-PINNED_VIOLATION_DRAWS = "49db3ca15b23738e9b769a7a89feb2048458a3514705582910eaa5f1007a064f"
+PINNED_VIOLATION_DRAWS = "823627444419f4e205a9913cb93c08fdde7befcaf95ea3d919d0d36a63ec97a7"
 
 
 @pytest.mark.parametrize("name", sorted(DRAW_SESSIONS))

@@ -26,6 +26,8 @@ from qgamble.protocol import (
     RoundType,
     SessionStats,
     StateLabel,
+    _run_rounds,
+    _streams,
     run_round,
     run_session,
     run_session_fast,
@@ -500,17 +502,19 @@ class TestSessionViews:
     )
     def test_kept_view_measures_current_round(self, make_alice):
         params = default_params()
-        rng, ref_rng = session_rng(24), session_rng(24)
+        streams, ref_streams = _streams(session_rng(24)), _streams(session_rng(24))
         records, expected = [], []
-        stats = run_session(
-            make_alice(), _KeepingBob(0.1), params, 2_000, rng, on_round=records.append
+        stats = _run_rounds(
+            make_alice(), _KeepingBob(0.1), params, 2_000, streams, records.append
         )
-        ref = run_session(
-            make_alice(), honest_bob(0.1), params, 2_000, ref_rng, on_round=expected.append
+        ref = _run_rounds(
+            make_alice(), honest_bob(0.1), params, 2_000, ref_streams, expected.append
         )
         assert records == expected
         assert stats == ref
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for stream, ref_stream in zip(streams, ref_streams):
+            assert stream.bit_generator.state == ref_stream.bit_generator.state
+            assert stream.random() == ref_stream.random()
 
     def test_kept_and_new_view_share_the_round(self):
         class TwoViewBob(_KeepingBob):
@@ -995,8 +999,9 @@ class TestSessionRng:
     def test_streams_repeat(self):
         assert session_rng(7, 3).random(4).tolist() == session_rng(7, 3).random(4).tolist()
 
-    def test_session_and_round_take_one_draw(self):
-        # Every stream of a session or a round is seeded from one draw.
+    def test_session_and_round_seed_from_one_call(self):
+        # The three streams of a session or a round are seeded from the
+        # draws of one `integers` call.
         params = default_params(noise=0.1)
         for play in (
             lambda rng: run_session(honest_alice(), honest_bob(0.1), params, 500, rng),
@@ -1004,22 +1009,36 @@ class TestSessionRng:
         ):
             rng, ref_rng = session_rng(9), session_rng(9)
             play(rng)
-            ref_rng.integers(2**63)
+            ref_rng.integers(2**63, size=3)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # --------------------------------------------------------------------------
-# Attackers that read the stream they are handed.  Each copies the state of
-# its `rng` into a fresh Generator and reads that copy's next uniforms
-# through the public numpy API.  Were the stream shared with the engine or
-# with the other party, those would be the check coin, Alice's preparation
-# coin or the Born draw of Bob's own measurement.
+# Attackers that read the stream they are handed through the public numpy
+# API.  The first kind copies the state of its `rng` into a fresh
+# Generator and reads that copy's next uniforms: were the stream shared
+# with the engine or with the other party, those would be the check coin,
+# Alice's preparation coin or the Born draw of Bob's own measurement.  The
+# second kind rebuilds another party's stream from its own stream's seed
+# and counts that party's draws: were the streams seeded as the children of
+# one `SeedSequence.spawn(3)` call, it would read the same uniforms.
 
 
 def _peek(rng) -> np.random.Generator:
     copy = np.random.Generator(np.random.PCG64())
     copy.bit_generator.state = rng.bit_generator.state
     return copy
+
+
+def _sibling(rng, key) -> np.random.Generator:
+    """The stream spawned with spawn key `key` from the seed of `rng`, rebuilt
+    from its `bit_generator.seed_seq` (numpy 1.24 names it `_seed_seq`).
+    Were the streams one spawn's children, key 0 would be the engine's and
+    key 1 Alice's."""
+    bits = rng.bit_generator
+    seq = bits.seed_seq if hasattr(bits, "seed_seq") else bits._seed_seq
+    seed = np.random.SeedSequence(seq.entropy, spawn_key=(key,))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 class _CheckPredictingAlice(AliceStrategy):
@@ -1031,12 +1050,29 @@ class _CheckPredictingAlice(AliceStrategy):
         self.check_rate = check_rate
 
     def prepare(self, rng):
-        return Preparation(KET_0, _peek(rng).random() < self.check_rate)
+        return Preparation(KET_0, self.check_coin(rng) < self.check_rate)
+
+    def check_coin(self, rng):
+        return _peek(rng).random()
 
     def claim(self, memo, own_view, bob_guess, rng):
         if memo or bob_guess is StateLabel.PLUS:
             return StateLabel.ZERO
         return StateLabel.PLUS
+
+
+class _SeedReadingAlice(_CheckPredictingAlice):
+    """Rebuilds the engine's stream from her seed.  Against honest Bob the
+    engine draws twice a round: the check coin, then Bob's outcome in a
+    normal round or the verdict in a check."""
+
+    engine = None
+
+    def check_coin(self, rng):
+        if self.engine is None:
+            self.engine = _sibling(rng, 0)
+        coin, _ = self.engine.random(2)
+        return coin
 
 
 class _PreparationPredictingBob:
@@ -1055,6 +1091,19 @@ class _PreparationPredictingBob:
         return BobMove(guess, received if is_check else None, None)
 
 
+class _SeedReadingBob:
+    """Never measures.  Rebuilds Alice's stream from his seed and reads the
+    uniform honest Alice drew for this round's preparation."""
+
+    alice = None
+
+    def play(self, received, is_check, rng):
+        if self.alice is None:
+            self.alice = _sibling(rng, 1)
+        guess = StateLabel.ZERO if self.alice.random() < 0.5 else StateLabel.PLUS
+        return BobMove(guess, received if is_check else None, None)
+
+
 _ANTI_X = MeasurementBasis(KET_MINUS, KET_PLUS)
 
 
@@ -1065,18 +1114,37 @@ class _BornPeekingBob:
     where |0> alone can give PLUS.  The engine draws the outcome."""
 
     def play(self, received, is_check, rng):
+        u = self.outcome_draw(rng)
         if is_check:
             return BobMove(StateLabel.ZERO, received, None)
-        basis = BASIS_Z if _peek(rng).random() > 0.5 else _ANTI_X
-        outcome = received.measure(basis)
+        outcome = received.measure(BASIS_Z if u > 0.5 else _ANTI_X)
         guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
         return BobMove(guess, None, outcome)
+
+    def outcome_draw(self, rng):
+        return _peek(rng).random()
+
+
+class _SeedReadingBornBob(_BornPeekingBob):
+    """Rebuilds the engine's stream from his seed.  Against honest Alice the
+    engine draws twice a round: the check coin, drawn before he plays,
+    then his outcome in a normal round or the verdict in a check."""
+
+    engine = None
+
+    def outcome_draw(self, rng):
+        if self.engine is None:
+            self.engine = _sibling(rng, 0)
+        _, u = self.engine.random(2)
+        return u
 
 
 class TestPrivateStreams:
     """At the paper's check rate for R = 1e4, abort off.  With one stream
-    shared by the engine and both parties, the Alice below earned 5.78 per
-    round with no check failed, and both Bobs won every normal round."""
+    shared by the engine and both parties, the state-copying Alice earned
+    5.78 per round with no check failed, and both state-copying Bobs won
+    every normal round.  With the streams spawned from one seed, each
+    seed-reading attacker did as well."""
 
     R = 10_000.0
     N = 20_000
@@ -1084,19 +1152,23 @@ class TestPrivateStreams:
     def params(self):
         return ProtocolParams(optimal_check_rate(self.R).check_rate, self.R, abort_threshold=1.0)
 
-    def test_alice_cannot_predict_checks(self):
+    @pytest.mark.parametrize(
+        "attacker", [_CheckPredictingAlice, _SeedReadingAlice], ids=["state", "seed"]
+    )
+    def test_alice_cannot_predict_checks(self, attacker):
         params = self.params()
-        alice = _CheckPredictingAlice(params.check_rate)
+        alice = attacker(params.check_rate)
         stats = run_session(alice, honest_bob(params.check_rate), params, self.N, session_rng(1))
         mc = monte_carlo_gain(stats)
         assert stats.check_fails > 0
         assert mc.mean + 4.0 * mc.std_error < optimal_check_rate(self.R).gain_cap
 
-    def test_bob_cannot_predict_preparations(self):
+    @pytest.mark.parametrize(
+        "attacker", [_PreparationPredictingBob, _SeedReadingBob], ids=["state", "seed"]
+    )
+    def test_bob_cannot_predict_preparations(self, attacker):
         params = self.params()
-        stats = run_session(
-            honest_alice(), _PreparationPredictingBob(), params, self.N, session_rng(2)
-        )
+        stats = run_session(honest_alice(), attacker(), params, self.N, session_rng(2))
         sigma = math.sqrt(0.25 / stats.normal_rounds)
         assert abs(stats.normal_win_rate - 0.5) < 4.0 * sigma
 
@@ -1104,8 +1176,8 @@ class TestPrivateStreams:
         # Neither party draws, and each measures whenever the rules let it:
         # the check coins, the noise and every outcome come from the
         # engine's stream, so each party's stream ends where it started.
-        # The attackers above copy a state that blocks run ahead of, so
-        # this is what shows a stream shared with the engine.
+        # The state-copying attackers above read a state that blocks run
+        # ahead of, so this is what shows a stream shared with the engine.
         seen = {}
 
         class StillAlice(AliceStrategy):
@@ -1135,9 +1207,12 @@ class TestPrivateStreams:
         assert alice_rng.bit_generator.state == alice_state
         assert bob_rng.bit_generator.state == bob_state
 
-    def test_bob_cannot_predict_outcomes(self):
+    @pytest.mark.parametrize(
+        "attacker", [_BornPeekingBob, _SeedReadingBornBob], ids=["state", "seed"]
+    )
+    def test_bob_cannot_predict_outcomes(self, attacker):
         params = self.params()
-        stats = run_session(honest_alice(), _BornPeekingBob(), params, self.N, session_rng(3))
+        stats = run_session(honest_alice(), attacker(), params, self.N, session_rng(3))
         p = OPTIMAL_GUESS_PROB
         sigma = math.sqrt(p * (1.0 - p) / stats.normal_rounds)
         assert stats.normal_win_rate < p + 4.0 * sigma
