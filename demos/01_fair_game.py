@@ -11,6 +11,7 @@ import math
 
 from qgamble import (
     BASIS_DISCRIM,
+    DEFAULT_LOSS_PAYOUT,
     KET_0,
     KET_PLUS,
     OPTIMAL_GUESS_PROB,
@@ -30,9 +31,9 @@ print(f"  attained by the basis tilted halfway between them:")
 print(f"  |<d0|0>|^2 = {overlap(BASIS_DISCRIM.plus, KET_0):.7f}")
 print(f"  |<d+|+>|^2 = {overlap(BASIS_DISCRIM.minus, KET_PLUS):.7f}")
 
-loss_payout = OPTIMAL_GUESS_PROB / (1.0 - OPTIMAL_GUESS_PROB)
-print(f"\npayouts: Bob win -> 1 coin, Bob loss -> p/(1-p) = {loss_payout:.7f} coins")
-print(f"normal-round expectation: {-OPTIMAL_GUESS_PROB + (1-OPTIMAL_GUESS_PROB)*loss_payout:+.2e}")
+loss = DEFAULT_LOSS_PAYOUT  # p/(1-p), fixed by the protocol
+print(f"\npayouts: Bob win -> 1 coin, Bob loss -> p/(1-p) = {loss:.7f} coins")
+print(f"normal-round expectation: {-OPTIMAL_GUESS_PROB + (1-OPTIMAL_GUESS_PROB)*loss:+.2e}")
 
 print("\n=== A million rounds of honest play ===")
 params = ProtocolParams(check_rate=0.01, penalty=10_000.0)

@@ -172,6 +172,8 @@ def _plane_overlaps(theta: float, claim: StateLabel) -> tuple[float, float, floa
         s = math.sin(math.pi / 8.0 + 0.5 * theta)
         caught = math.sin(0.5 * theta) ** 2
         return c * c, s * s, caught, 1.0 - caught
+    if claim is not StateLabel.PLUS:
+        raise ValueError(f"claim must be a StateLabel, got {claim!r}")
     # Mirror image through the axis halfway between the two legal states.
     s = math.sin(math.pi / 8.0 + 0.5 * theta)
     c = math.cos(math.pi / 8.0 + 0.5 * theta)
@@ -186,7 +188,7 @@ def cheat_gain_exact(
 
     Normal rounds pay -1 on a matching guess and p/(1-p) otherwise;
     checking rounds convict with the orthogonal-outcome probability and
-    otherwise settle against a uniform guess.  Uses the standard payouts.
+    otherwise settle against a uniform guess.
     """
     p, loss, _ = protocol_constants()
     match, mismatch, caught, survive = _plane_overlaps(theta, claim)
@@ -247,10 +249,13 @@ def unmeasured_posterior(theta: float, check_rate: float, guess: StateLabel) -> 
     Conditions on Bob announcing `guess` when Alice sent the z-x-plane
     state at `theta`.  Never drops below check_rate/2: an unmeasuring Bob
     guesses uniformly, so half the check rate always survives the update.
-    Raises ValueError unless 0 < check_rate < 1, as ProtocolParams does.
+    Raises ValueError unless 0 < check_rate < 1, as ProtocolParams does,
+    and unless `guess` is a StateLabel.
     """
     if not 0.0 < check_rate < 1.0:
         raise ValueError(f"check_rate must lie in (0, 1), got {check_rate}")
+    if not isinstance(guess, StateLabel):
+        raise ValueError(f"guess must be a StateLabel, got {guess!r}")
     state = state_from_bloch(theta, 0.0)
     anchor = BASIS_DISCRIM.plus if guess is StateLabel.ZERO else BASIS_DISCRIM.minus
     q = overlap(anchor, state)
@@ -357,7 +362,7 @@ def _product_branches(
                     guess,
                     claim,
                     CheckResult.NOT_APPLICABLE,
-                    _settle(guess, claim, params),
+                    _settle(guess, claim),
                 )
             caught = overlap(claim.verification_basis.minus, state)
             for guess in StateLabel:
@@ -375,7 +380,7 @@ def _product_branches(
                     guess,
                     claim,
                     CheckResult.PASS,
-                    _settle(guess, claim, params),
+                    _settle(guess, claim),
                 )
 
 
@@ -417,7 +422,7 @@ def _entangled_branches(model: EntangledModel, params: ProtocolParams) -> Iterat
                 onto,
                 *_conjugated(onto),
                 claim,
-                _settle(guess, claim, params),
+                _settle(guess, claim),
                 *_conjugated(claim.verification_basis.minus),
             )
             for onto, claim in zip((basis.plus, basis.minus), labels)
@@ -573,8 +578,8 @@ def sweep_cheat_gain(
     per_claim = []
     for claim in claims:
         caught = born(bloch_from_state(claim.verification_basis.minus))
-        on_zero = _settle(StateLabel.ZERO, claim, params)
-        on_plus = _settle(StateLabel.PLUS, claim, params)
+        on_zero = _settle(StateLabel.ZERO, claim)
+        on_plus = _settle(StateLabel.PLUS, claim)
         normal = (1.0 - r) * (p_zero * on_zero + (1.0 - p_zero) * on_plus)
         detect = 0.0 - r * caught * params.penalty  # 0.0, not -0.0, when never caught
         passed = r * (1.0 - caught) * 0.5 * (on_zero + on_plus)

@@ -12,9 +12,9 @@ state's eigenbasis; an orthogonal outcome convicts Alice and costs her the
 penalty, otherwise the round settles like a normal one.  The verdict is a
 protocol step, like the settlement: no strategy reports it.
 
-Coins flow through a zero-sum ledger: a Bob win costs Alice `win_payout`
-(one coin by default), a Bob loss pays Alice `loss_payout` (p/(1-p) by
-default, which makes normal rounds exactly fair against honest play).
+Coins flow through a zero-sum ledger under a fixed rule: a Bob win costs
+Alice one coin, a Bob loss pays her `DEFAULT_LOSS_PAYOUT` = p/(1-p), with
+p = cos^2(pi/8), which makes normal rounds exactly fair against honest play.
 """
 
 from __future__ import annotations
@@ -133,8 +133,6 @@ class ProtocolParams:
 
     check_rate: float
     penalty: float
-    loss_payout: float = DEFAULT_LOSS_PAYOUT
-    win_payout: float = 1.0
     noise: float = 0.0
     abort_threshold: float = 0.05
 
@@ -143,10 +141,6 @@ class ProtocolParams:
             raise ValueError(f"check_rate must lie in (0, 1), got {self.check_rate}")
         if not (math.isfinite(self.penalty) and self.penalty > 0.0):
             raise ValueError(f"penalty must be positive and finite, got {self.penalty}")
-        for name in ("loss_payout", "win_payout"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError(f"noise must lie in [0, 1), got {self.noise}")
         if not 0.0 <= self.abort_threshold <= 1.0:
@@ -161,7 +155,6 @@ class RoundRecord(NamedTuple):
     alice_claim: StateLabel
     check_result: CheckResult
     transfer: float
-    bob_measurement_outcome: Optional[Outcome] = None
 
     def settlement_ok(self, params: ProtocolParams) -> bool:
         """Does the transfer follow from the announcements and check result?"""
@@ -169,7 +162,7 @@ class RoundRecord(NamedTuple):
             return False
         if self.check_result is _FAIL:
             return self.transfer == -params.penalty
-        return self.transfer == _settle(self.bob_guess, self.alice_claim, params)
+        return self.transfer == _settle(self.bob_guess, self.alice_claim)
 
     def as_row(self) -> dict:
         return {
@@ -220,12 +213,13 @@ class SessionStats:
 
 
 class BobMove(NamedTuple):
-    """Bob's reply in a round: his announced guess, and either the stored
-    qubit view (checking round) or his measurement outcome (normal round)."""
+    """Bob's reply in a round: his guess and, in a checking round, the
+    received view as `stored`, unmeasured (None in a normal round).  Unless
+    a check convicts Alice, a guess equal to her claim wins Bob one coin and
+    any other pays her `DEFAULT_LOSS_PAYOUT`."""
 
     guess: StateLabel
     stored: Optional["SubsystemView"]
-    outcome: Optional[Outcome]
 
 
 #: A split table is cleared once it holds this many entries, so a session
@@ -336,9 +330,9 @@ class SubsystemView:
         )
 
 
-def _settle(guess: StateLabel, claim: StateLabel, params: ProtocolParams) -> float:
+def _settle(guess: StateLabel, claim: StateLabel) -> float:
     """The settlement rule, which `_run_rounds` applies inline."""
-    return -params.win_payout if guess == claim else params.loss_payout
+    return -1.0 if guess == claim else DEFAULT_LOSS_PAYOUT
 
 
 def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
@@ -447,7 +441,7 @@ def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats
     draw = rng.random
     check_rate, noise = params.check_rate, params.noise
     abort_threshold = params.abort_threshold
-    on_win, on_loss, on_fail = -params.win_payout, params.loss_payout, -params.penalty
+    on_win, on_loss, on_fail = -1.0, DEFAULT_LOSS_PAYOUT, -params.penalty
     prepare, claim_of, play = alice.prepare, alice.claim, bob.play
     register = RoundRegister(None)
     bob_view = SubsystemView(register, _B, "bob", rng)
@@ -484,18 +478,18 @@ def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats
             checks += 1
             if register.measure(_B, basis, rng, "bob") is _MINUS:
                 fails += 1
-                round_type, result, transfer, outcome = _CHECK, _FAIL, on_fail, _MINUS
+                round_type, result, transfer = _CHECK, _FAIL, on_fail
             else:
-                round_type, result, outcome = _CHECK, _PASS, _PLUS
+                round_type, result = _CHECK, _PASS
         else:
             if guess is claim:
                 wins += 1
-            round_type, result, outcome = _NORMAL, _NOT_APPLICABLE, move.outcome
+            round_type, result = _NORMAL, _NOT_APPLICABLE
         total += transfer
         total_sq += transfer * transfer
         if on_round is not None:
             on_round(tuple.__new__(
-                RoundRecord, (round_type, guess, claim, result, transfer, outcome)))
+                RoundRecord, (round_type, guess, claim, result, transfer)))
         if checks >= MIN_CHECKS_FOR_ABORT and fails > abort_threshold * checks:
             aborted = True
             break
@@ -542,12 +536,8 @@ def run_session_fast(
     bob_paid = wins + pass_wins
     return SessionStats(
         rounds=kept,
-        alice_gain_total=params.loss_payout * losses
-        - params.win_payout * bob_paid
-        - params.penalty * fails,
-        transfer_sq_total=params.loss_payout**2 * losses
-        + params.win_payout**2 * bob_paid
-        + params.penalty**2 * fails,
+        alice_gain_total=DEFAULT_LOSS_PAYOUT * losses - bob_paid - params.penalty * fails,
+        transfer_sq_total=DEFAULT_LOSS_PAYOUT**2 * losses + bob_paid + params.penalty**2 * fails,
         check_rounds=checks,
         check_fails=fails,
         bob_wins=wins,

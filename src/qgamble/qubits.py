@@ -228,8 +228,9 @@ class Ensemble:
         entries = tuple((float(w), s) for w, s in self.entries)
         if not entries:
             raise ValueError("ensemble must not be empty")
-        if any(w < 0.0 for w, _ in entries):
-            raise ValueError("ensemble weights must be nonnegative")
+        for i, (w, _) in enumerate(entries):
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"ensemble weight {i} must be nonnegative and finite, got {w!r}")
         total = math.fsum(w for w, _ in entries)
         if abs(total - 1.0) > ATOL_STATE:
             raise ValueError(f"ensemble weights must sum to 1, got {total!r}")

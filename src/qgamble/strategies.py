@@ -61,8 +61,8 @@ __all__ = [
 _ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
 _OUTCOME_PLUS = Outcome.PLUS
 # Honest Bob's normal-round moves, one per discrimination outcome.
-_MOVE_ZERO = BobMove(_ZERO, None, _OUTCOME_PLUS)
-_MOVE_PLUS = BobMove(_PLUS, None, Outcome.MINUS)
+_MOVE_ZERO = BobMove(_ZERO, None)
+_MOVE_PLUS = BobMove(_PLUS, None)
 
 
 class ClaimPolicy(Enum):
@@ -168,7 +168,7 @@ class _HonestBob(BobStrategy):
     def play(self, received, is_check, rng) -> BobMove:
         if is_check:
             guess = _ZERO if rng.random() < 0.5 else _PLUS
-            return BobMove(guess, received, None)
+            return BobMove(guess, received)
         if received.measure(BASIS_DISCRIM) is _OUTCOME_PLUS:
             return _MOVE_ZERO
         return _MOVE_PLUS

@@ -6,7 +6,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qgamble.analysis import oracle_transcript_distribution
-from qgamble.protocol import CheckResult, ProtocolParams, RoundType, SessionStats
+from qgamble.protocol import (
+    DEFAULT_LOSS_PAYOUT,
+    CheckResult,
+    ProtocolParams,
+    RoundType,
+    SessionStats,
+)
 from qgamble.qubits import MeasurementBasis, PureQubit, TwoQubitPure, orthogonal_state
 
 _component = st.floats(
@@ -75,7 +81,7 @@ def joint_probability(
 def class_counts(stats: SessionStats, params: ProtocolParams) -> list[int]:
     """(normal win, normal loss, check fail, check-pass win, check-pass
     loss) counts, the last two recovered from the ledger total."""
-    win, loss = params.win_payout, params.loss_payout
+    win, loss = 1.0, DEFAULT_LOSS_PAYOUT
     normal_loss = stats.normal_rounds - stats.bob_wins
     passes = stats.check_rounds - stats.check_fails
     pass_loss = (

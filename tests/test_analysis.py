@@ -24,6 +24,7 @@ from qgamble.analysis import (
     unmeasured_posterior,
 )
 from qgamble.protocol import (
+    DEFAULT_LOSS_PAYOUT,
     CheckResult,
     ProtocolParams,
     StateLabel,
@@ -52,8 +53,22 @@ class TestConstants:
         assert c.slope == pytest.approx(SQ2 / 4.0, abs=1e-12)
         assert c.slope / (1.0 - c.guess_prob) == pytest.approx(1.0 + SQ2, abs=1e-12)
 
+    def test_loss_payout_is_the_protocols(self):
+        assert protocol_constants().loss_payout == DEFAULT_LOSS_PAYOUT
+
 
 class TestExactGain:
+    @pytest.mark.parametrize("label", ["zero", "plus", 0, None])
+    def test_closed_forms_reject_non_labels(self, label):
+        # A string once read as PLUS: cheat_gain_exact(0.3, 0.1, 100.0, "zero")
+        # gave the PLUS gain 0.24042, where ZERO gives 0.75186.
+        with pytest.raises(ValueError, match=f"claim must be a StateLabel, got {label!r}"):
+            cheat_gain_exact(0.3, 0.1, 100.0, label)
+        with pytest.raises(ValueError, match=f"claim must be a StateLabel, got {label!r}"):
+            claim_gain_upper_bound(0.3, 0.1, 100.0, label)
+        with pytest.raises(ValueError, match=f"guess must be a StateLabel, got {label!r}"):
+            unmeasured_posterior(0.3, 0.1, label)
+
     def test_legal_state_leaks_only_pass_term(self):
         g = cheat_gain_exact(0.0, 0.01, 1_000.0, StateLabel.ZERO)
         assert g.normal_term == pytest.approx(0.0, abs=1e-12)

@@ -233,12 +233,12 @@ def _oracle_family():
 # sha256 over the four oracle views of every strategy in _oracle_family under
 # each of ORACLE_PARAMS.
 ORACLE_PARAMS = (
-    ProtocolParams(0.13, 250.0, loss_payout=4.5),
+    ProtocolParams(0.13, 250.0),
     ProtocolParams(0.05, 1_000.0, noise=0.02),
-    ProtocolParams(0.3, 20.0, win_payout=2.0, noise=0.3),
+    ProtocolParams(0.3, 20.0, noise=0.3),
     ProtocolParams(0.5, 7.0, noise=0.9),
 )
-PINNED_ORACLE = "c9d5c01b9670f01f4cc8e21e3160d908becbc70d761c1eb9b683363bf0ed739f"
+PINNED_ORACLE = "1a0272cdc0083f41de4c897cb25ea16cd7ff24c546192fae2f2c68a35ae4d691"
 
 
 def test_oracle_digest_over_strategy_space():
@@ -256,13 +256,10 @@ def test_oracle_digest_over_strategy_space():
 
 
 def _stream_digest(records) -> str:
-    """sha256 over each record's row plus Bob's measurement outcome."""
+    """sha256 over each record's row."""
     digest = hashlib.sha256()
     for rec in records:
-        row = rec.as_row()
-        outcome = rec.bob_measurement_outcome
-        row["bob_measurement_outcome"] = None if outcome is None else outcome.value
-        digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+        digest.update(json.dumps(rec.as_row(), sort_keys=True).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -296,29 +293,29 @@ STREAMS = {
 PINNED_STREAMS = {
     "honest_checks": (
         2000,
-        "c4bdd0264d826e5ce3115ff830abe6b5061b244349adc9b48a7a59ac130b732c",
+        "63bfd6bd9d3d31be09cc262d2a4e44cf3adb1829764e83bda450f63e90c440f3",
     ),
     "entangled_zx": (
         2000,
-        "48587b8edd365c3461522ca8829b1669e4624beb629507dd11d106e9ab734b37",
+        "48d757edc7f4f57f1bc07c03193641e71fb6387d91c9fb8b8a185a997dc04cec",
     ),
     "noisy_fixed": (
         2000,
-        "e56ea6a6f3da403be2693098f287602659d8c36c1902a9100929e5ebad851061",
+        "48c16115bc0ff947b306cddc6a5752166c52cdc76705df8b97295e7a82fa803d",
     ),
     "ensemble": (
         2000,
-        "79f328e5a1516329bf37c1535b08eceff9a78340f126fa060d909f99c3d87c24",
+        "d6c5a90c381fc8824238e79c4eaefa152185a80ed20b09412a2bfcab48546b6b",
     ),
     "noisy_abort": (
         496,
-        "2bb2b84bad5bc8d18e574448aa8cfe43f27b52b7e14b62acc84b94c83a2c049f",
+        "b86613f5f6358ffb277611a182e27186ac3181fd3889720c5fd3587da5e080db",
     ),
 }
 
 PINNED_RUN_ROUND = (
     200,
-    "fb5c5c65daf689b5499bfce4ecd1375693ee8201bf8862bd120331b59499e685",
+    "f58417c18bd75e209b8eef344e700c7d57e55e86231cc31a98d8d74c06382afa",
 )
 
 

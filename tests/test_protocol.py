@@ -27,6 +27,7 @@ from qgamble.protocol import (
     SessionStats,
     StateLabel,
     _run_rounds,
+    _settle,
     _streams,
     run_round,
     run_session,
@@ -84,13 +85,8 @@ class TestParams:
             dict(noise=-0.1),
             dict(noise=1.0),
             dict(abort_threshold=1.5),
-            dict(win_payout=0.0),
             dict(penalty=math.nan),
             dict(penalty=math.inf),
-            dict(loss_payout=math.nan),
-            dict(loss_payout=math.inf),
-            dict(win_payout=math.nan),
-            dict(win_payout=math.inf),
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -100,13 +96,23 @@ class TestParams:
     def test_default_loss_payout(self):
         assert DEFAULT_LOSS_PAYOUT == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), abs=1e-12)
 
+    def test_payouts_are_not_params(self):
+        # The payout rule is fixed; a call that still sets a payout fails.
+        with pytest.raises(TypeError):
+            ProtocolParams(0.1, 100.0, loss_payout=4.5)
+
+    @pytest.mark.parametrize("guess", list(StateLabel))
+    @pytest.mark.parametrize("claim", list(StateLabel))
+    def test_settlement_is_the_fixed_rule(self, guess, claim):
+        assert _settle(guess, claim) == (-1.0 if guess is claim else DEFAULT_LOSS_PAYOUT)
+
 
 class TestRunRound:
     def test_transfers_take_legal_values(self):
         params = default_params()
         alice, bob = honest_alice(), honest_bob(params.check_rate)
         rng = RNG(10)
-        legal = {-params.win_payout, params.loss_payout}
+        legal = {-1.0, LOSS}
         for _ in range(300):
             rec = run_round(alice, bob, params, rng)
             assert rec.transfer in legal  # honest play never pays the penalty
@@ -135,9 +141,9 @@ class TestRunRound:
             rec = run_round(alice, bob, params, rng)
             if rec.check_result is not CheckResult.FAIL:
                 if rec.bob_guess == rec.alice_claim:
-                    assert rec.transfer == -params.win_payout
+                    assert rec.transfer == -1.0
                 else:
-                    assert rec.transfer == params.loss_payout
+                    assert rec.transfer == LOSS
 
     def test_orthogonal_cheat_always_caught(self):
         # Sending |->, orthogonal to the claimed |+>, fails every check.
@@ -251,7 +257,7 @@ class TestRunRound:
             def play(self, received, is_check, rng):
                 received.measure(BASIS_Z)
                 received.measure(BASIS_Z)
-                return BobMove(StateLabel.ZERO, None, Outcome.PLUS)
+                return BobMove(StateLabel.ZERO, None)
 
         with pytest.raises(ProtocolViolation):
             run_round(honest_alice(), GreedyBob(), params, RNG(17))
@@ -277,7 +283,7 @@ class TestRunRound:
         class PeekingBob:
             def play(self, received, is_check, rng):
                 received.measure(BASIS_Z, which=Subsystem.A)
-                return BobMove(StateLabel.ZERO, None, Outcome.PLUS)
+                return BobMove(StateLabel.ZERO, None)
 
         alice = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
         with pytest.raises(ProtocolViolation, match="bob attempted to measure subsystem A"):
@@ -293,7 +299,7 @@ class TestRunRound:
             def play(self, received, is_check, rng):
                 outcome = received.measure(basis)
                 guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
-                return BobMove(guess, received if is_check else None, outcome)
+                return BobMove(guess, received if is_check else None)
 
         rng = RNG(20)
         with pytest.raises(ProtocolViolation, match="subsystem B was already measured"):
@@ -305,7 +311,7 @@ class TestRunRound:
 
         class ForgetfulBob:
             def play(self, received, is_check, rng):
-                return BobMove(StateLabel.ZERO, None, None)
+                return BobMove(StateLabel.ZERO, None)
 
         rng = RNG(21)
         with pytest.raises(ProtocolViolation, match="requires Bob to store the qubit"):
@@ -1088,7 +1094,7 @@ class _PreparationPredictingBob:
         if is_check:
             copy.random()
         self.predicted = copy.random()
-        return BobMove(guess, received if is_check else None, None)
+        return BobMove(guess, received if is_check else None)
 
 
 class _SeedReadingBob:
@@ -1101,7 +1107,7 @@ class _SeedReadingBob:
         if self.alice is None:
             self.alice = _sibling(rng, 1)
         guess = StateLabel.ZERO if self.alice.random() < 0.5 else StateLabel.PLUS
-        return BobMove(guess, received if is_check else None, None)
+        return BobMove(guess, received if is_check else None)
 
 
 _ANTI_X = MeasurementBasis(KET_MINUS, KET_PLUS)
@@ -1116,10 +1122,10 @@ class _BornPeekingBob:
     def play(self, received, is_check, rng):
         u = self.outcome_draw(rng)
         if is_check:
-            return BobMove(StateLabel.ZERO, received, None)
+            return BobMove(StateLabel.ZERO, received)
         outcome = received.measure(BASIS_Z if u > 0.5 else _ANTI_X)
         guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
-        return BobMove(guess, None, outcome)
+        return BobMove(guess, None)
 
     def outcome_draw(self, rng):
         return _peek(rng).random()
@@ -1194,10 +1200,10 @@ class TestPrivateStreams:
             def play(self, received, is_check, rng):
                 seen.setdefault("bob", (rng, rng.bit_generator.state))
                 if is_check:
-                    return BobMove(StateLabel.ZERO, received, None)
+                    return BobMove(StateLabel.ZERO, received)
                 outcome = received.measure(BASIS_DISCRIM)
                 guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
-                return BobMove(guess, None, outcome)
+                return BobMove(guess, None)
 
         params = default_params(check_rate=0.2, noise=0.1, abort_threshold=1.0)
         stats = run_session(StillAlice(), StillBob(), params, 2_000, session_rng(8))

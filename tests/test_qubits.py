@@ -109,6 +109,15 @@ class TestConstruction:
             Ensemble(((0.7, KET_0), (0.7, KET_PLUS)))
         with pytest.raises(ValueError):
             Ensemble(((-0.5, KET_0), (1.5, KET_PLUS)))
+        # NaN weights once passed the sum check: abs(nan - 1) > tol is False.
+        for (w0, w1), index in (
+            ((math.nan, math.nan), 0),
+            ((1.0, math.nan), 1),
+            ((math.inf, 0.0), 0),
+            ((0.5, -math.inf), 1),
+        ):
+            with pytest.raises(ValueError, match=f"weight {index} must be nonnegative and finite"):
+                Ensemble(((w0, KET_0), (w1, KET_PLUS)))
 
 
 class TestBlochConversions:
