@@ -85,6 +85,7 @@ class TestParams:
             dict(noise=-0.1),
             dict(noise=1.0),
             dict(abort_threshold=1.5),
+            dict(abort_threshold=-0.1),
             dict(penalty=math.nan),
             dict(penalty=math.inf),
         ],
