@@ -561,6 +561,9 @@ def sweep_cheat_gain(
     """
     if len(theta_grid) == 0 or len(phi_grid) == 0 or len(claims) == 0:
         raise ValueError("sweep grids must be non-empty")
+    for i, claim in enumerate(claims):
+        if not isinstance(claim, StateLabel):
+            raise ValueError(f"claims[{i}] must be a StateLabel, got {claim!r}")
     theta = np.asarray(theta_grid, dtype=float)[:, None]
     phi = np.asarray(phi_grid, dtype=float)[None, :]
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):

@@ -19,6 +19,7 @@ p = cos^2(pi/8), which makes normal rounds exactly fair against honest play.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -233,16 +234,19 @@ class RoundRegister:
     Strategies never hold raw states during play; they measure through
     SubsystemView handles, which lets the engine enforce that each party
     touches only its own subsystem and that nothing is measured twice.
-    Subsystem A belongs to "alice" and B to "bob".
+    Subsystem A belongs to "alice" and B to "bob".  The rules live in
+    `SubsystemView.measure`; `measure` here measures through a view built
+    for its `actor`.
 
     One register serves a whole session: at the start of each round the
     engine resets its state, its lone-qubit holder (B) and both measured
-    flags.  `_splits` is the table of exact splits (`qubits._split`)
-    that the register draws against; it stays on the register across the
-    rounds of a session, and `run_round` and a bare register start an
-    empty one.  It is keyed by (id(state), measures A, id(basis)); each
-    entry holds its state and basis, so neither id can be reused while
-    the entry exists.
+    flags.  `_splits` is the register's table of what its states turn
+    into: exact splits (`qubits._split`), keyed by (id(state), measures A,
+    id(basis)), and the states the Pauli channel flips to, keyed by
+    (id(state), axis index).  Each entry holds the objects of its key, so
+    no id can be reused while the entry exists.  The table stays on the
+    register across the rounds of a session, and `run_round` and a bare
+    register start an empty one.
     """
 
     __slots__ = ("_state", "_pure_holder", "_a_measured", "_b_measured", "_splits")
@@ -256,52 +260,36 @@ class RoundRegister:
         self._splits: dict = {}
 
     def apply_noise(self, eps: float, rng) -> None:
-        """Pauli channel on the transmitted subsystem (B), in transit."""
+        """Pauli channel on the transmitted subsystem (B), in transit.
+
+        `apply_pauli` and `apply_pauli_pair` are deterministic, so a state
+        is flipped once per axis and the flipped state reused from the
+        split table, which has then split it already."""
         if eps == 0.0 or rng.random() >= eps:
             return
-        axis = PAULI_AXES[int(3.0 * rng.random())]
-        if isinstance(self._state, TwoQubitPure):
-            self._state = apply_pauli_pair(self._state, _B, axis)
-        else:
-            assert self._state is not None and self._pure_holder is _B
-            self._state = apply_pauli(self._state, axis)
+        index = int(3.0 * rng.random())
+        state, splits = self._state, self._splits
+        key = (id(state), index)
+        entry = splits.get(key)
+        if entry is None:
+            if isinstance(state, TwoQubitPure):
+                flipped = apply_pauli_pair(state, _B, PAULI_AXES[index])
+            else:
+                assert state is not None and self._pure_holder is _B
+                flipped = apply_pauli(state, PAULI_AXES[index])
+            if len(splits) >= _SPLITS_MAX:
+                splits.clear()
+            entry = splits[key] = (flipped, state)
+        self._state = entry[0]
 
     def measure(
         self, which: Subsystem, basis: MeasurementBasis, rng, actor: str
     ) -> Outcome:
-        is_a = which is _A
-        owner = "alice" if is_a else "bob" if which is _B else None
-        if actor != owner:
-            raise ProtocolViolation(
-                f"{actor} attempted to measure subsystem {which.value}"
-            )
-        if self._a_measured if is_a else self._b_measured:
-            raise ProtocolViolation(f"subsystem {which.value} was already measured")
-        state = self._state
-        entangled = isinstance(state, TwoQubitPure)
-        if not entangled and (state is None or which is not self._pure_holder):
-            raise ProtocolViolation(
-                f"{actor} holds no qubit on subsystem {which.value}"
-            )
-        splits = self._splits
-        key = (id(state), is_a, id(basis))
-        entry = splits.get(key)
-        if entry is None:
-            if len(splits) >= _SPLITS_MAX:
-                splits.clear()
-            entry = splits[key] = (*_split(state, which, basis), state, basis)
-        # qubits._draw, inlined: the call costs about 80 ns a measurement.
-        if rng.random() < entry[0]:
-            outcome, self._state = _PLUS, entry[1]
-        else:
-            outcome, self._state = _MINUS, entry[2]
-        if entangled:
-            self._pure_holder = _B if is_a else _A
-        if is_a:
-            self._a_measured = True
-        else:
-            self._b_measured = True
-        return outcome
+        """`actor` measures subsystem `which`, drawing from `rng`, through a
+        view that holds A for "alice", B for "bob" and nothing for anyone
+        else."""
+        own = _A if actor == "alice" else _B if actor == "bob" else None
+        return SubsystemView(self, own, actor, rng.random).measure(basis, which)
 
 
 class SubsystemView:
@@ -310,24 +298,62 @@ class SubsystemView:
     A session hands each party one view for all its rounds, so a view
     always refers to the current round: one kept from an earlier round
     measures this round's qubit, under this round's rules.  The view holds
-    the engine's stream, and every outcome is drawn from it, never from a
-    party's own.
+    `draw`, the engine stream's uniform draw, and every outcome is drawn
+    from it, never from a party's own stream.
     """
 
-    __slots__ = ("_register", "_which", "_actor", "_rng")
+    __slots__ = ("_register", "_which", "_actor", "_draw")
 
-    def __init__(self, register: RoundRegister, which: Subsystem, actor: str, rng):
+    def __init__(
+        self,
+        register: RoundRegister,
+        which: Subsystem | None,
+        actor: str,
+        draw: Callable[[], float],
+    ):
         self._register = register
         self._which = which
         self._actor = actor
-        self._rng = rng
+        self._draw = draw
 
     def measure(self, basis: MeasurementBasis, which: Subsystem | None = None) -> Outcome:
         """Measure the holder's subsystem.  Naming any other subsystem is a
-        protocol violation and raises."""
-        return self._register.measure(
-            self._which if which is None else which, basis, self._rng, self._actor
-        )
+        protocol violation and raises, as does measuring a subsystem twice
+        in a round or one that holds no qubit."""
+        own = self._which
+        if which is not None and which is not own:
+            raise ProtocolViolation(
+                f"{self._actor} attempted to measure subsystem {which.value}"
+            )
+        register = self._register
+        is_a = own is _A
+        if register._a_measured if is_a else register._b_measured:
+            raise ProtocolViolation(f"subsystem {own.value} was already measured")
+        state = register._state
+        entangled = isinstance(state, TwoQubitPure)
+        if not entangled and (state is None or own is not register._pure_holder):
+            raise ProtocolViolation(
+                f"{self._actor} holds no qubit on subsystem {own.value}"
+            )
+        splits = register._splits
+        key = (id(state), is_a, id(basis))
+        entry = splits.get(key)
+        if entry is None:
+            if len(splits) >= _SPLITS_MAX:
+                splits.clear()
+            entry = splits[key] = (*_split(state, own, basis), state, basis)
+        # qubits._draw, inlined: the call costs about 80 ns a measurement.
+        if self._draw() < entry[0]:
+            outcome, register._state = _PLUS, entry[1]
+        else:
+            outcome, register._state = _MINUS, entry[2]
+        if entangled:
+            register._pure_holder = _B if is_a else _A
+        if is_a:
+            register._a_measured = True
+        else:
+            register._b_measured = True
+        return outcome
 
 
 def _settle(guess: StateLabel, claim: StateLabel) -> float:
@@ -352,32 +378,41 @@ def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
 _BLOCK_MIN, _BLOCK_CAP = 16, 1024
 
 
+def _blocks(generator: np.random.Generator):
+    """The blocks of uniforms a stream serves, as lists, drawn when asked.
+
+    It takes the Generator, not the stream: a stream it referred to would
+    sit in a reference cycle and keep its blocks until the cyclic GC ran.
+    """
+    n = _BLOCK_MIN
+    while True:
+        yield generator.random(n).tolist()
+        n = min(2 * n, _BLOCK_CAP)
+
+
 class _Draws:
     """One private stream: `random()` is served from blocks drawn off the
     stream's own Generator, and every other attribute is the Generator's.
 
     `Generator.random(n)` yields the same doubles as n calls of
     `Generator.random()`.  Nothing else draws from this Generator, so
-    running it ahead of the doubles used changes nobody's numbers.
+    running it ahead of the doubles used changes nobody's numbers.  The
+    doubles come from `_next`, a C-level iterator over `_blocks`, which
+    the engine and the views call directly.
     """
 
-    __slots__ = ("_rng", "_block", "_size")
+    __slots__ = ("_rng", "_next")
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = iter(())
-        self._size = _BLOCK_MIN // 2
+        self._next = itertools.chain.from_iterable(_blocks(rng)).__next__
 
     def random(self, size=None, dtype=None, out=None):
         # Named parameters, not *args and **kwargs: an empty **kwargs dict
         # costs about 60 ns a call, and a session makes several a round.
         if size is not None or dtype is not None or out is not None:
             return self._rng.random(size, np.float64 if dtype is None else dtype, out)
-        for u in self._block:
-            return u
-        n = self._size = min(2 * self._size, _BLOCK_CAP)
-        self._block = block = iter(self._rng.random(n).tolist())
-        return next(block)
+        return self._next()
 
     def __getattr__(self, name):
         if name in _Draws.__slots__:
@@ -438,14 +473,14 @@ def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats
     """Play up to `n_rounds` rounds on one register and one pair of views;
     `streams` are the engine's, Alice's and Bob's."""
     rng, alice_rng, bob_rng = streams
-    draw = rng.random
+    draw = rng._next
     check_rate, noise = params.check_rate, params.noise
     abort_threshold = params.abort_threshold
     on_win, on_loss, on_fail = -1.0, DEFAULT_LOSS_PAYOUT, -params.penalty
     prepare, claim_of, play = alice.prepare, alice.claim, bob.play
     register = RoundRegister(None)
-    bob_view = SubsystemView(register, _B, "bob", rng)
-    alice_view = SubsystemView(register, _A, "alice", rng)
+    bob_view = SubsystemView(register, _B, "bob", draw)
+    alice_view = SubsystemView(register, _A, "alice", draw)
     total = total_sq = 0.0
     checks = fails = wins = played = 0
     aborted = False
@@ -472,11 +507,12 @@ def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats
         if is_check:
             if move.stored is None:
                 raise ProtocolViolation("checking round requires Bob to store the qubit")
-            # The engine measures subsystem B itself, not through the object
-            # Bob returned, so nothing Bob hands back can decide the verdict.
-            # If he measured the qubit before the claim, the register raises.
+            # The engine measures subsystem B through its own view, not
+            # through the object Bob returned, so nothing Bob hands back can
+            # decide the verdict.  If he measured the qubit before the
+            # claim, the view raises.
             checks += 1
-            if register.measure(_B, basis, rng, "bob") is _MINUS:
+            if bob_view.measure(basis) is _MINUS:
                 fails += 1
                 round_type, result, transfer = _CHECK, _FAIL, on_fail
             else:
@@ -521,6 +557,9 @@ def run_session_fast(
     """
     n_rounds = _round_count(n_rounds)
     Ensemble(tuple((w, s) for w, s, _ in members))  # raises unless a distribution
+    for i, (_, _, claim) in enumerate(members):
+        if not isinstance(claim, StateLabel):
+            raise ValueError(f"the claim of members[{i}] must be a StateLabel, got {claim!r}")
     win, fail = _class_probabilities(members, params.noise)
 
     if params.abort_threshold >= 1.0:

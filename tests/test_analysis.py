@@ -487,6 +487,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_cheat_gain(0.1, 100.0, thetas, np.array([]))
 
+    def test_rejects_non_label_claims(self):
+        # Once an AttributeError from `claim.verification_basis`.
+        with pytest.raises(ValueError, match=r"^claims\[1\] must be a StateLabel, got 'zero'$"):
+            sweep_cheat_gain(0.1, 100.0, [0.1], [0.0], claims=[StateLabel.PLUS, "zero"])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_angles(self, bad):
         with pytest.raises(ValueError):

@@ -499,19 +499,23 @@ def test_fresh_states_get_fresh_splits(noise):
 
 
 def test_split_table_stays_bounded():
-    params = ProtocolParams(0.2, 20.0, abort_threshold=1.0)
-    bob = honest_bob(params.check_rate)
+    bob = honest_bob(0.2)
     # Warm up first, so one-off set-up inside numpy is not counted.
-    run_session(_FreshStateAlice(), bob, params, 1_000, session_rng(53))
+    run_session(
+        _FreshStateAlice(), bob, ProtocolParams(0.2, 20.0, abort_threshold=1.0), 1_000,
+        session_rng(53),
+    )
     bound = 2**20
-    for n in (20_000, 200_000):
+    # The states noise flips to share the table with the splits.
+    for n, noise in ((20_000, 0.0), (200_000, 0.0), (20_000, 0.1)):
+        params = ProtocolParams(0.2, 20.0, noise=noise, abort_threshold=1.0)
         tracemalloc.start()
         try:
             stats = run_session(_FreshStateAlice(), bob, params, n, session_rng(53))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound, (n, peak)
+        assert peak < bound, (n, noise, peak)
         assert stats.rounds == n
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import class_counts, class_masses, kept_ledger_chi2
 
+from qgamble import protocol
 from qgamble.analysis import (
     monte_carlo_gain,
     optimal_check_rate,
@@ -622,6 +623,29 @@ class TestNoise:
         assert abs(rate - 2.0 * eps / 3.0) < 5.0 * sigma
 
 
+    @pytest.mark.parametrize(
+        "name, make_alice, limit",
+        [("apply_pauli", honest_alice, 6), ("apply_pauli_pair", _entangled_z, 3)],
+        ids=["honest", "entangled"],
+    )
+    def test_flipped_states_are_reused(self, monkeypatch, name, make_alice, limit):
+        # The channel is deterministic once its axis is drawn, so a session
+        # flips each state it sends at most once per axis: honest Alice
+        # sends two states, the entangled cheat one.
+        calls = []
+        flip = getattr(protocol, name)
+
+        def counted(*args):
+            calls.append(args)
+            return flip(*args)
+
+        monkeypatch.setattr(protocol, name, counted)
+        params = default_params(check_rate=0.2, noise=0.3, abort_threshold=1.0)
+        stats = run_session(make_alice(), honest_bob(0.2), params, 5_000, session_rng(26))
+        assert stats.rounds == 5_000
+        assert 0 < len(calls) <= limit
+
+
 #: Upper 1e-4 quantiles of the chi-square distribution, by degrees of
 #: freedom (one less than the number of transcript keys).
 CHI2_1E4 = {5: 25.7448, 7: 29.8775, 11: 37.3670}
@@ -843,6 +867,14 @@ class TestFastSession:
         with pytest.raises(ValueError):
             run_session_fast(members, default_params(), 1_000, session_rng(40))
 
+    def test_rejects_non_label_claims(self):
+        # Once a KeyError from the per-claim tables of the sampler.
+        members = [(0.5, KET_0, StateLabel.ZERO), (0.5, KET_PLUS, "zero")]
+        with pytest.raises(
+            ValueError, match=r"^the claim of members\[1\] must be a StateLabel, got 'zero'$"
+        ):
+            run_session_fast(members, default_params(), 1_000, session_rng(40))
+
     def test_win_rate_near_optimum(self):
         params = ProtocolParams(0.01, 10_000.0)
         stats = run_session_fast(
@@ -1018,6 +1050,17 @@ class TestSessionRng:
             play(rng)
             ref_rng.integers(2**63, size=3)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+    def test_streams_keep_the_numpy_api(self):
+        # A stream serves `random()` itself; every other public name of the
+        # Generator must still be the wrapped Generator's, not a slot of
+        # the stream that shadows it.
+        for stream in _streams(session_rng(10)):
+            for name in dir(np.random.Generator):
+                if not name.startswith("_") and name != "random":
+                    assert getattr(stream, name) == getattr(stream._rng, name), name
+            assert isinstance(stream.random(size=3), np.ndarray)
 
 
 # --------------------------------------------------------------------------
