@@ -38,10 +38,10 @@ from .qubits import (
     Outcome,
     PureQubit,
     Subsystem,
-    TwoQubitPure,
-    _project_amps,
+    _amps_after,
+    _pauli_pair_amps,
+    _two_qubit_amps,
     apply_pauli,
-    apply_pauli_pair,
     bloch_from_state,
     overlap,
     state_from_bloch,
@@ -86,7 +86,7 @@ _NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
 _PASS, _FAIL = CheckResult.PASS, CheckResult.FAIL
 _NOT_APPLICABLE = CheckResult.NOT_APPLICABLE
 _OUTCOME_PLUS, _OUTCOME_MINUS = Outcome.PLUS, Outcome.MINUS
-_A, _B = Subsystem.A, Subsystem.B
+_B = Subsystem.B
 
 
 class ProtocolConstants(NamedTuple):
@@ -97,33 +97,62 @@ class ProtocolConstants(NamedTuple):
     slope: float  # cos(pi/8) sin(pi/8), small-angle gain slope numerator
 
 
+_GUESS_PROB = _COS8 * _COS8
+_LOSS_PAYOUT = _GUESS_PROB / (1.0 - _GUESS_PROB)
+_SLOPE = _COS8 * _SIN8
+#: slope / (1 - p): the small-angle gain per radian.
+_GAIN_SLOPE = _SLOPE / (1.0 - _GUESS_PROB)
+_CONSTANTS = ProtocolConstants(_GUESS_PROB, _LOSS_PAYOUT, _SLOPE)
+
+
 def protocol_constants() -> ProtocolConstants:
-    p = _COS8 * _COS8
-    return ProtocolConstants(p, p / (1.0 - p), _COS8 * _SIN8)
+    return _CONSTANTS
 
 
-@dataclass(frozen=True)
-class GainBreakdown:
-    """Expected per-round gain split by round branch.
-
-    normal_term: contribution of normal rounds (weight 1-r included).
-    detect_term: checking rounds Alice fails (always <= 0).
-    pass_term: checking rounds Alice survives.
-    """
-
+class _GainFields(NamedTuple):
     normal_term: float
     detect_term: float
     pass_term: float
     total: float
 
-    def __post_init__(self):
-        n, d, p = self.normal_term, self.detect_term, self.pass_term
-        if d > 1e-12:
-            raise ValueError("detect_term must be nonpositive")
-        # The plain sum and the fsum of from_terms differ by rounding, which
-        # grows with the terms' magnitude.
-        if abs(n + d + p - self.total) > 1e-12 * max(1.0, abs(n) + abs(d) + abs(p)):
+
+class GainBreakdown(_GainFields):
+    """Expected per-round gain split by round branch.
+
+    normal_term: contribution of normal rounds (weight 1-r included).
+    detect_term: checking rounds Alice fails (always <= 0).
+    pass_term: checking rounds Alice survives.
+
+    A tuple of the four fields, checked on construction: a value compares
+    equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, normal_term: float, detect_term: float, pass_term: float, total: float
+    ) -> "GainBreakdown":
+        n, d, p = normal_term, detect_term, pass_term
+        size = abs(n) + abs(d) + abs(p)
+        # Every comparison is false on NaN, and an infinite term makes `size`
+        # infinite.  The plain sum and the fsum of from_terms differ by
+        # rounding, which grows with the terms' magnitude.
+        if not (
+            d <= 1e-12
+            and size < math.inf
+            and abs(n + d + p - total) <= 1e-12 * max(1.0, size)
+        ):
+            if not (size < math.inf and math.isfinite(total)):
+                raise ValueError("breakdown terms must be finite")
+            if not d <= 1e-12:
+                raise ValueError("detect_term must be nonpositive")
             raise ValueError("breakdown terms do not sum to the total")
+        return tuple.__new__(cls, (n, d, p, total))
+
+    @classmethod
+    def _make(cls, iterable) -> "GainBreakdown":
+        # namedtuple's _make, and _replace through it, would skip __new__.
+        return cls(*iterable)
 
     @classmethod
     def from_terms(
@@ -190,11 +219,10 @@ def cheat_gain_exact(
     checking rounds convict with the orthogonal-outcome probability and
     otherwise settle against a uniform guess.
     """
-    p, loss, _ = protocol_constants()
     match, mismatch, caught, survive = _plane_overlaps(theta, claim)
-    normal = (1.0 - check_rate) * (-match + mismatch * loss)
+    normal = (1.0 - check_rate) * (-match + mismatch * _LOSS_PAYOUT)
     detect = -check_rate * caught * penalty
-    passed = check_rate * survive * 0.5 * (loss - 1.0)
+    passed = check_rate * survive * 0.5 * (_LOSS_PAYOUT - 1.0)
     return GainBreakdown.from_terms(normal, detect, passed)
 
 
@@ -207,23 +235,28 @@ def claim_gain_upper_bound(
     The half accounts for Alice's Bayesian uncertainty about whether Bob
     measured; the exact gain always sits below this.
     """
-    _, loss, _ = protocol_constants()
     _, _, caught, _ = _plane_overlaps(theta, claim)
-    return loss - 0.5 * check_rate * caught * penalty
+    return _LOSS_PAYOUT - 0.5 * check_rate * caught * penalty
 
 
 def cheat_gain_quadratic_bound(theta: float, check_rate: float, penalty: float) -> float:
     """Small-angle upper bound on the cheating gain near |0>:
     linear reward in theta minus a quadratic conviction cost plus a 3r cushion."""
-    p, _, slope = protocol_constants()
     rr = check_rate * penalty
-    return slope / (1.0 - p) * theta - 0.25 * rr * theta * theta + 3.0 * check_rate
+    return _GAIN_SLOPE * theta - 0.25 * rr * theta * theta + 3.0 * check_rate
 
 
 def quadratic_bound_optimum(check_rate: float, penalty: float) -> Optimum:
-    """Closed-form maximum of the quadratic bound over theta."""
-    p, _, slope = protocol_constants()
-    c = slope / (1.0 - p)
+    """Closed-form maximum of the quadratic bound over theta.
+
+    Raises ValueError unless 0 < check_rate < 1 and the penalty is
+    positive and finite.
+    """
+    if not 0.0 < check_rate < 1.0:
+        raise ValueError(f"check_rate must lie in (0, 1), got {check_rate}")
+    if not (math.isfinite(penalty) and penalty > 0.0):
+        raise ValueError(f"penalty must be positive and finite, got {penalty}")
+    c = _GAIN_SLOPE
     rr = check_rate * penalty
     theta_star = 2.0 * c / rr
     return Optimum(theta_star, c * c / rr + 3.0 * check_rate)
@@ -236,8 +269,7 @@ def optimal_check_rate(penalty: float) -> CheckRatePolicy:
     """
     if not (math.isfinite(penalty) and penalty > 0.0):
         raise ValueError(f"penalty must be positive and finite, got {penalty}")
-    p, _, slope = protocol_constants()
-    c = slope / (1.0 - p)
+    c = _GAIN_SLOPE
     rate = c / math.sqrt(3.0 * penalty)
     cap = 2.0 * math.sqrt(3.0) * c / math.sqrt(penalty)
     return CheckRatePolicy(rate, cap)
@@ -340,10 +372,6 @@ def _noise_variants(state, eps: float, pauli):
         yield eps / 3.0, pauli(state, axis)
 
 
-def _pauli_on_b(state: TwoQubitPure, axis: str) -> TwoQubitPure:
-    return apply_pauli_pair(state, _B, axis)
-
-
 def _product_branches(
     model: ProductModel, params: ProtocolParams
 ) -> Iterable[RoundBranch]:
@@ -394,14 +422,22 @@ def _conjugated(state: PureQubit) -> tuple[complex, complex]:
     return state.amp0.conjugate(), state.amp1.conjugate()
 
 
+def _flip_b(amps: tuple[complex, ...], axis: str) -> tuple[complex, ...]:
+    """`apply_pauli_pair(state, B, axis)` on amplitude tuples: the amplitudes
+    of the TwoQubitPure it returns."""
+    return _two_qubit_amps(_pauli_pair_amps(amps, _B, axis))
+
+
 # RoundBranch fields.  `_entangled_branches` yields them as plain tuples,
 # with every per-branch constant (settlements, conjugated amplitudes, the
 # strategy's lookup tables) resolved once per call: enum-keyed lookups hash
-# through the Python-level Enum.__hash__.  `_product_branches` still yields
-# RoundBranch objects, which the consumers index the same way.  A tuple
-# version is 2-3x faster per call, but the benchmark harness keeps every
-# operation's latency (more operations raise its peak RSS) and reads its
-# tail at p99.99 from 100,000 operations on (ROADMAP item 9).
+# through the Python-level Enum.__hash__.  It projects amplitude tuples,
+# with no state object per noise branch or projection.
+# `_product_branches` still yields RoundBranch objects, which the consumers
+# index the same way.  A tuple version is 2-3x faster per call, but the
+# benchmark harness keeps every operation's latency (more operations raise
+# its peak RSS) and reads its tail at p99.99 from 100,000 operations on
+# (ROADMAP item 9).
 _Branch = tuple[float, RoundType, StateLabel, StateLabel, CheckResult, float]
 
 
@@ -412,14 +448,14 @@ def _entangled_branches(model: EntangledModel, params: ProtocolParams) -> Iterat
         model.label_by_outcome[_OUTCOME_PLUS],
         model.label_by_outcome[_OUTCOME_MINUS],
     )
-    # Per guess: Alice's two basis states, each with its claim, settlement
-    # and the conjugated failing state of the claim's verification basis.
+    # Per guess: Alice's two conjugated basis states, each with its claim,
+    # settlement and the conjugated failing state of the claim's
+    # verification basis.
     policy = []
     for guess in (_ZERO, _PLUS):
         basis = model.basis_by_guess[guess]
         sides = tuple(
             (
-                onto,
                 *_conjugated(onto),
                 claim,
                 _settle(guess, claim),
@@ -429,24 +465,27 @@ def _entangled_branches(model: EntangledModel, params: ProtocolParams) -> Iterat
         )
         policy.append((guess, sides))
     # Bob's outcome plus, onto BASIS_DISCRIM.plus, announces guess zero.
-    bob_sides = ((BASIS_DISCRIM.plus, policy[0]), (BASIS_DISCRIM.minus, policy[1]))
-    for nw, state in _noise_variants(model.state, params.noise, _pauli_on_b):
+    bob_sides = (
+        (*_conjugated(BASIS_DISCRIM.plus), policy[0]),
+        (*_conjugated(BASIS_DISCRIM.minus), policy[1]),
+    )
+    for nw, (s00, s01, s10, s11) in _noise_variants(model.state.amps, params.noise, _flip_b):
         # Normal rounds: Bob measures his half first, then Alice measures
         # hers in the basis picked by his announced guess.
         normal = nw * (1.0 - r)
-        for bob_onto, (guess, sides) in bob_sides:
-            p_b, a0, a1 = _project_amps(state, _B, bob_onto)
+        for e0, e1, (guess, sides) in bob_sides:
+            p_b, a0, a1 = _amps_after(e0 * s00 + e1 * s01, e0 * s10 + e1 * s11)
             if p_b == 0.0:
                 continue
             weight = normal * p_b
-            for _, c0, c1, claim, settled, _, _ in sides:
+            for c0, c1, claim, settled, _, _ in sides:
                 q = _overlap(c0, c1, a0, a1)
                 yield weight * q, _NORMAL, guess, claim, _NOT_APPLICABLE, settled
         # Checking rounds: Bob stores, so Alice's measurement steers his qubit.
         check = nw * r * 0.5
         for guess, sides in policy:
-            for onto, _, _, claim, settled, m0, m1 in sides:
-                p_a, b0, b1 = _project_amps(state, _A, onto)
+            for c0, c1, claim, settled, m0, m1 in sides:
+                p_a, b0, b1 = _amps_after(c0 * s00 + c1 * s10, c0 * s01 + c1 * s11)
                 if p_a == 0.0:
                     continue
                 weight = check * p_a

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Literal, NamedTuple
 
 __all__ = [
     "ATOL_STATE",
@@ -89,7 +89,7 @@ class Subsystem(Enum):
 # Per-measurement code reads enum members through these names: on Python
 # 3.11, reading a member off its Enum class costs about 0.1 us.
 _PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
-_A = Subsystem.A
+_A, _B = Subsystem.A, Subsystem.B
 
 
 def _canonical(a0: complex, a1: complex, m0: float, m1: float) -> tuple[complex, complex]:
@@ -133,20 +133,33 @@ class PureQubit:
         )
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Real 3-vector r with rho = (1 + r.sigma)/2; pure states sit on the unit sphere."""
-
+class _BlochFields(NamedTuple):
     x: float
     y: float
     z: float
 
-    def __post_init__(self):
-        for c in (self.x, self.y, self.z):
-            if not math.isfinite(c):
-                raise ValueError("Bloch components must be finite")
-        if self.norm() > 1.0 + ATOL_STATE:
-            raise ValueError(f"Bloch vector outside the unit ball: {self}")
+
+class BlochVector(_BlochFields):
+    """Real 3-vector r with rho = (1 + r.sigma)/2; pure states sit on the unit sphere.
+
+    A tuple of (x, y, z), checked on construction: a value compares equal
+    to the plain tuple of its components.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float) -> "BlochVector":
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError("Bloch components must be finite")
+        v = tuple.__new__(cls, (x, y, z))
+        if math.sqrt(x * x + y * y + z * z) > 1.0 + ATOL_STATE:
+            raise ValueError(f"Bloch vector outside the unit ball: {v}")
+        return v
+
+    @classmethod
+    def _make(cls, iterable) -> "BlochVector":
+        # namedtuple's _make, and _replace through it, would skip __new__.
+        return cls(*iterable)
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -175,6 +188,37 @@ class MeasurementBasis:
         return self.plus if outcome is Outcome.PLUS else self.minus
 
 
+def _two_qubit_amps(amps) -> tuple[complex, complex, complex, complex]:
+    """TwoQubitPure's checks and phase convention: the amplitudes as a
+    finite, normalized 4-tuple of complex numbers whose first amplitude
+    above _PHASE_CUTOFF (else the last) is real and nonnegative."""
+    if len(amps) != 4:
+        raise ValueError("two-qubit state needs exactly 4 amplitudes")
+    a0, a1 = complex(amps[0]), complex(amps[1])
+    a2, a3 = complex(amps[2]), complex(amps[3])
+    if not (
+        cmath.isfinite(a0) and cmath.isfinite(a1)
+        and cmath.isfinite(a2) and cmath.isfinite(a3)
+    ):
+        raise ValueError("amplitudes must be finite")
+    m0, m1, m2, m3 = abs(a0), abs(a1), abs(a2), abs(a3)
+    norm_sq = m0**2 + m1**2 + m2**2 + m3**2
+    if abs(norm_sq - 1.0) > ATOL_STATE:
+        raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
+    if m0 > _PHASE_CUTOFF:
+        ref, mag = a0, m0
+    elif m1 > _PHASE_CUTOFF:
+        ref, mag = a1, m1
+    elif m2 > _PHASE_CUTOFF:
+        ref, mag = a2, m2
+    else:
+        ref, mag = a3, m3
+    if mag != 0.0:
+        phase = ref / mag
+        a0, a1, a2, a3 = a0 / phase, a1 / phase, a2 / phase, a3 / phase
+    return a0, a1, a2, a3
+
+
 @dataclass(frozen=True)
 class TwoQubitPure:
     """Normalized two-qubit pure state; amplitude order |00>,|01>,|10>,|11>.
@@ -186,33 +230,7 @@ class TwoQubitPure:
     amps: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
-        amps = self.amps
-        if len(amps) != 4:
-            raise ValueError("two-qubit state needs exactly 4 amplitudes")
-        a0, a1 = complex(amps[0]), complex(amps[1])
-        a2, a3 = complex(amps[2]), complex(amps[3])
-        if not (
-            cmath.isfinite(a0) and cmath.isfinite(a1)
-            and cmath.isfinite(a2) and cmath.isfinite(a3)
-        ):
-            raise ValueError("amplitudes must be finite")
-        m0, m1, m2, m3 = abs(a0), abs(a1), abs(a2), abs(a3)
-        norm_sq = m0**2 + m1**2 + m2**2 + m3**2
-        if abs(norm_sq - 1.0) > ATOL_STATE:
-            raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
-        # Same phase convention as PureQubit, over four amplitudes.
-        if m0 > _PHASE_CUTOFF:
-            ref, mag = a0, m0
-        elif m1 > _PHASE_CUTOFF:
-            ref, mag = a1, m1
-        elif m2 > _PHASE_CUTOFF:
-            ref, mag = a2, m2
-        else:
-            ref, mag = a3, m3
-        if mag != 0.0:
-            phase = ref / mag
-            a0, a1, a2, a3 = a0 / phase, a1 / phase, a2 / phase, a3 / phase
-        object.__setattr__(self, "amps", (a0, a1, a2, a3))
+        object.__setattr__(self, "amps", _two_qubit_amps(self.amps))
 
     def amp(self, a: int, b: int) -> complex:
         return self.amps[2 * a + b]
@@ -308,13 +326,12 @@ def _collapse(r0: complex, r1: complex, norm_sq: float) -> tuple[float, PureQubi
     return prob, PureQubit(r0 * scale, r1 * scale)
 
 
-def _project_amps(
-    state: TwoQubitPure, which: Subsystem, onto: PureQubit
-) -> tuple[float, complex, complex]:
-    """`_project_once` without building the partner: the outcome probability
-    and the partner's amplitudes, bit for bit those of the PureQubit that
-    `_collapse` returns ((0.0, 0j, 0j) for an impossible outcome)."""
-    r0, r1, norm_sq = _residue(state, which, onto)
+def _amps_after(r0: complex, r1: complex) -> tuple[float, complex, complex]:
+    """`_collapse` without building the partner: the outcome probability of
+    a residue and the partner's amplitudes, bit for bit those of the
+    PureQubit that `_collapse` returns ((0.0, 0j, 0j) for an impossible
+    outcome)."""
+    norm_sq = abs(r0) ** 2 + abs(r1) ** 2
     prob = _outcome_prob(norm_sq)
     if prob == 0.0:
         return 0.0, 0j, 0j
@@ -387,24 +404,27 @@ def measure_subsystem(
 
 def reduced_bloch(state: TwoQubitPure, which: Subsystem) -> BlochVector:
     """Bloch vector of the reduced (partial-trace) state of one subsystem."""
-    if which is Subsystem.B:
-        rho00 = sum(abs(state.amp(a, 0)) ** 2 for a in (0, 1))
-        rho11 = sum(abs(state.amp(a, 1)) ** 2 for a in (0, 1))
-        rho01 = sum(state.amp(a, 0) * state.amp(a, 1).conjugate() for a in (0, 1))
+    s00, s01, s10, s11 = state.amps
+    # The coherence starts from int 0, as a sum() would: 0 + z turns a
+    # -0.0 part of z into 0.0, which the vector's signed zeros show.
+    if which is _B:
+        rho00 = abs(s00) ** 2 + abs(s10) ** 2
+        rho11 = abs(s01) ** 2 + abs(s11) ** 2
+        rho01 = 0 + s00 * s01.conjugate() + s10 * s11.conjugate()
     else:
-        rho00 = sum(abs(state.amp(0, b)) ** 2 for b in (0, 1))
-        rho11 = sum(abs(state.amp(1, b)) ** 2 for b in (0, 1))
-        rho01 = sum(state.amp(0, b) * state.amp(1, b).conjugate() for b in (0, 1))
+        rho00 = abs(s00) ** 2 + abs(s01) ** 2
+        rho11 = abs(s10) ** 2 + abs(s11) ** 2
+        rho01 = 0 + s00 * s10.conjugate() + s01 * s11.conjugate()
     return BlochVector(2.0 * rho01.real, -2.0 * rho01.imag, rho00 - rho11)
 
 
 def ensemble_average_bloch(ensemble: Ensemble) -> BlochVector:
     """Weighted sum of member Bloch vectors; the Bloch vector of the mixture."""
-    vecs = [(w, bloch_from_state(s)) for w, s in ensemble.entries]
+    vecs = [(w, *_bloch_xyz(s)) for w, s in ensemble.entries]
     return BlochVector(
-        math.fsum(w * v.x for w, v in vecs),
-        math.fsum(w * v.y for w, v in vecs),
-        math.fsum(w * v.z for w, v in vecs),
+        math.fsum(w * x for w, x, _, _ in vecs),
+        math.fsum(w * y for w, _, y, _ in vecs),
+        math.fsum(w * z for w, _, _, z in vecs),
     )
 
 
@@ -424,6 +444,19 @@ def apply_pauli(state: PureQubit, axis: PauliAxis) -> PureQubit:
     return PureQubit(*_pauli(axis, state.amp0, state.amp1))
 
 
+def _pauli_pair_amps(
+    amps: tuple[complex, complex, complex, complex], which: Subsystem, axis: PauliAxis
+) -> tuple[complex, complex, complex, complex]:
+    """`apply_pauli_pair` on an amplitude 4-tuple, before TwoQubitPure's
+    checks and phase convention."""
+    s00, s01, s10, s11 = amps
+    if which is _A:
+        t00, t10 = _pauli(axis, s00, s10)
+        t01, t11 = _pauli(axis, s01, s11)
+        return t00, t01, t10, t11
+    return _pauli(axis, s00, s01) + _pauli(axis, s10, s11)
+
+
 def apply_pauli_pair(
     state: TwoQubitPure, which: Subsystem, axis: PauliAxis
 ) -> TwoQubitPure:
@@ -431,12 +464,7 @@ def apply_pauli_pair(
 
     On B it acts on each row (A fixed) of the amplitude table; on A, on
     each column (B fixed)."""
-    s00, s01, s10, s11 = state.amps
-    if which is _A:
-        t00, t10 = _pauli(axis, s00, s10)
-        t01, t11 = _pauli(axis, s01, s11)
-        return TwoQubitPure((t00, t01, t10, t11))
-    return TwoQubitPure(_pauli(axis, s00, s01) + _pauli(axis, s10, s11))
+    return TwoQubitPure(_pauli_pair_amps(state.amps, which, axis))
 
 
 def tensor_product(a: PureQubit, b: PureQubit) -> TwoQubitPure:

@@ -1,5 +1,6 @@
 """Closed forms, the enumeration oracle, Monte Carlo, optimizers, sweeps."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from qgamble import analysis
 from qgamble.analysis import (
     GainBreakdown,
+    ProtocolConstants,
     cheat_gain_exact,
     cheat_gain_quadratic_bound,
     claim_gain_upper_bound,
@@ -56,6 +58,13 @@ class TestConstants:
     def test_loss_payout_is_the_protocols(self):
         assert protocol_constants().loss_payout == DEFAULT_LOSS_PAYOUT
 
+    def test_same_value_on_every_call(self):
+        p = math.cos(math.pi / 8.0) ** 2
+        expect = ProtocolConstants(
+            p, p / (1.0 - p), math.cos(math.pi / 8.0) * math.sin(math.pi / 8.0)
+        )
+        assert [protocol_constants() for _ in range(3)] == [expect] * 3
+
 
 class TestExactGain:
     @pytest.mark.parametrize("label", ["zero", "plus", 0, None])
@@ -95,10 +104,44 @@ class TestExactGain:
         )
 
     def test_breakdown_validation(self):
-        with pytest.raises(ValueError):
-            GainBreakdown(0.0, 0.5, 0.0, 0.5)  # positive detection term
-        with pytest.raises(ValueError):
-            GainBreakdown(1.0, 0.0, 0.0, 2.0)  # terms do not sum
+        with pytest.raises(ValueError, match="detect_term must be nonpositive"):
+            GainBreakdown(0.0, 0.5, 0.0, 0.5)
+        with pytest.raises(ValueError, match="breakdown terms do not sum to the total"):
+            GainBreakdown(1.0, 0.0, 0.0, 2.0)
+        # NaN once passed both checks, and an infinite term the sum check.
+        nan, inf = math.nan, math.inf
+        for terms in (
+            (0.0, nan, 0.0, 0.0),
+            (nan, 0.0, 0.0, nan),
+            (0.0, 0.0, 0.0, nan),
+            (inf, 0.0, 0.0, 0.0),
+            (0.0, -inf, 0.0, 0.0),
+            (0.0, inf, 0.0, inf),
+            (0.0, 0.0, 0.0, -inf),
+        ):
+            with pytest.raises(ValueError, match="breakdown terms must be finite"):
+                GainBreakdown(*terms)
+        for terms in ((inf, 0.0, 0.0), (0.0, 0.0, nan)):
+            with pytest.raises(ValueError, match="breakdown terms must be finite"):
+                GainBreakdown.from_terms(*terms)
+        with pytest.raises(ValueError, match="breakdown terms must be finite"):
+            cheat_gain_exact(nan, 0.1, 100.0, StateLabel.ZERO)
+
+    def test_breakdown_is_an_immutable_tuple(self):
+        g = GainBreakdown.from_terms(0.5, -0.25, 0.125)
+        assert repr(g) == (
+            "GainBreakdown(normal_term=0.5, detect_term=-0.25, pass_term=0.125, total=0.375)"
+        )
+        assert g == (0.5, -0.25, 0.125, 0.375)
+        twin = GainBreakdown(0.5, -0.25, 0.125, 0.375)
+        assert twin == g and hash(twin) == hash(g)
+        assert copy.deepcopy(g) == g
+        for name in ("total", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 1.0)
+        # _replace builds through the checks.
+        with pytest.raises(ValueError, match="do not sum"):
+            g._replace(total=1.0)
 
     def test_breakdown_tolerance_scales_with_terms(self):
         # cheat_gain_exact(0.01, 0.5, 1e6, PLUS): the plain sum of these
@@ -211,6 +254,26 @@ class TestOptimum:
         ):
             with pytest.raises(ValueError, match=name):
                 golden_section_max(f, lo, hi)
+
+    @pytest.mark.parametrize(
+        "rate, penalty, field",
+        [
+            (0.0, 100.0, "check_rate"),
+            (1.0, 100.0, "check_rate"),
+            (-0.1, 100.0, "check_rate"),
+            (math.nan, 100.0, "check_rate"),
+            (0.1, 0.0, "penalty"),
+            (0.1, -5.0, "penalty"),
+            (0.1, math.nan, "penalty"),
+            (0.1, math.inf, "penalty"),
+        ],
+    )
+    def test_optimum_rejects_bad_arguments(self, rate, penalty, field):
+        # A zero rate once raised ZeroDivisionError and a NaN one returned
+        # Optimum(nan, nan).
+        bad = rate if field == "check_rate" else penalty
+        with pytest.raises(ValueError, match=f"^{field} must .*, got {bad}$"):
+            quadratic_bound_optimum(rate, penalty)
 
     def test_gain_max_decreases_with_penalty(self):
         gains = [

@@ -1,5 +1,6 @@
-"""Exact pins on seeded engine sessions, their round streams and oracle
-branches.
+"""Exact pins on seeded engine sessions, their round streams, oracle
+branches and the other exact routes (closed forms, sweeps, Bloch
+reductions and projections).
 
 The pinned values are what the engine and the oracle produce today, float
 for float.  Faster state construction or measurement must keep the same
@@ -16,10 +17,16 @@ import tracemalloc
 import pytest
 
 from qgamble.analysis import (
+    cheat_gain_exact,
+    cheat_gain_quadratic_bound,
+    claim_gain_upper_bound,
+    optimal_check_rate,
     oracle_expected_gain,
     oracle_round_branches,
     oracle_transcript_distribution,
     oracle_transfer_variance,
+    quadratic_bound_optimum,
+    sweep_cheat_gain,
 )
 from qgamble.protocol import (
     MIN_CHECKS_FOR_ABORT,
@@ -50,6 +57,9 @@ from qgamble.qubits import (
     Subsystem,
     TwoQubitPure,
     basis_from_bloch_angle,
+    ensemble_average_bloch,
+    project_subsystem,
+    reduced_bloch,
     state_from_bloch,
 )
 from qgamble.strategies import (
@@ -253,6 +263,65 @@ def test_oracle_digest_over_strategy_space():
             )
             digest.update(repr(views).encode() + b"\n")
     assert digest.hexdigest() == PINNED_ORACLE
+
+
+def _exact_views():
+    """Seeded inputs to the exact routes outside the oracle, and what each
+    returns: Bloch reductions and projections of two-qubit states (zero
+    and real amplitudes included, whose products carry signed zeros),
+    ensemble averages, the closed forms with the quadratic bound and its
+    optimum, and sweep rows."""
+    g = random.Random(11)
+    eigenstates = (KET_0, KET_1, KET_PLUS, KET_MINUS, DISCRIM_0, DISCRIM_PLUS)
+    views = []
+    for _ in range(32):
+        imag = 0.0 if g.random() < 0.4 else 1.0
+        amps = [complex(g.gauss(0.0, 1.0), imag * g.gauss(0.0, 1.0)) for _ in range(4)]
+        for i in g.sample(range(4), g.randint(0, 2)):
+            amps[i] = 0j
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        state = TwoQubitPure(tuple(a / norm for a in amps))
+        zx = basis_from_bloch_angle(g.uniform(0.0, math.pi))
+        for which in Subsystem:
+            views.append(reduced_bloch(state, which))
+            for basis in (BASIS_Z, BASIS_X, BASIS_DISCRIM, zx):
+                views.append(project_subsystem(state, which, basis))
+    for _ in range(16):
+        k = g.randint(1, 4)
+        raw = [g.random() + 0.05 for _ in range(k)]
+        states = [
+            g.choice(eigenstates) if g.random() < 0.3
+            else state_from_bloch(g.uniform(0.0, math.pi), g.uniform(0.0, 2.0 * math.pi))
+            for _ in range(k)
+        ]
+        members = Ensemble(tuple((w / sum(raw), s) for w, s in zip(raw, states)))
+        views.append(ensemble_average_bloch(members))
+    for _ in range(24):
+        theta = g.uniform(-math.pi, math.pi)
+        rate, penalty = g.uniform(0.001, 0.5), 10.0 ** g.uniform(0.5, 6.0)
+        for claim in (ZERO, PLUS):
+            views.append(cheat_gain_exact(theta, rate, penalty, claim))
+            views.append(claim_gain_upper_bound(theta, rate, penalty, claim))
+        views.append(cheat_gain_quadratic_bound(theta, rate, penalty))
+        views.append(quadratic_bound_optimum(rate, penalty))
+        views.append(optimal_check_rate(penalty))
+    for _ in range(4):
+        rate, penalty = g.uniform(0.001, 0.5), 10.0 ** g.uniform(0.5, 6.0)
+        thetas = [g.uniform(0.0, math.pi) for _ in range(7)] + [0.0, math.pi / 2.0]
+        phis = [g.uniform(0.0, 2.0 * math.pi) for _ in range(4)] + [0.0, math.pi]
+        views.append(sweep_cheat_gain(rate, penalty, thetas, phis))
+    return views
+
+
+# sha256 over the repr of every value in _exact_views.
+PINNED_EXACT = "aad291dbdf4f9e80b7e345a8e88e52faa7a643d0147dafb9a375c71080ab57d6"
+
+
+def test_exact_digest():
+    digest = hashlib.sha256()
+    for view in _exact_views():
+        digest.update(repr(view).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_EXACT
 
 
 def _stream_digest(records) -> str:

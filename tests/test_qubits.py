@@ -101,8 +101,27 @@ class TestConstruction:
             MeasurementBasis(KET_0, KET_PLUS, "skew")
 
     def test_bloch_vector_inside_ball(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"outside the unit ball: BlochVector\(x=1.0, y=1.0, z=1.0\)"
+        ):
             BlochVector(1.0, 1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="Bloch components must be finite"):
+                BlochVector(0.0, bad, 0.0)
+
+    def test_bloch_vector_is_an_immutable_tuple(self):
+        v = BlochVector(0.5, 0.0, -0.5)
+        assert repr(v) == "BlochVector(x=0.5, y=0.0, z=-0.5)"
+        assert v == (0.5, 0.0, -0.5)
+        twin = BlochVector(0.5, 0.0, -0.5)
+        assert twin == v and hash(twin) == hash(v)
+        assert copy.deepcopy(v) == v
+        for name in ("x", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 0.25)
+        # _replace builds through the checks.
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            v._replace(x=1.0)
 
     def test_ensemble_weights(self):
         with pytest.raises(ValueError):
