@@ -23,26 +23,34 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .protocol import (
+    DEFAULT_LOSS_PAYOUT,
     CheckResult,
     ProtocolParams,
     RoundType,
     SessionStats,
     StateLabel,
+    _FAIL_AXIS,
+    _GUESS_ZERO_AXIS,
+    _born,
+    _check_penalty,
+    _check_rate,
     _settle,
 )
 from .qubits import (
     BASIS_DISCRIM,
     BASIS_X,
     BASIS_Z,
+    OPTIMAL_GUESS_PROB,
     PAULI_AXES,
     Outcome,
     PureQubit,
     Subsystem,
+    _COS8,
+    _SIN8,
     _amps_after,
     _pauli_pair_amps,
     _two_qubit_amps,
     apply_pauli,
-    bloch_from_state,
     overlap,
     state_from_bloch,
 )
@@ -76,9 +84,6 @@ __all__ = [
     "exact_tolerance",
 ]
 
-_COS8 = math.cos(math.pi / 8.0)
-_SIN8 = math.sin(math.pi / 8.0)
-
 # Per-branch code reads enum members through these names: on Python 3.11,
 # reading a member off its Enum class costs about 0.1 us.
 _ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
@@ -97,12 +102,10 @@ class ProtocolConstants(NamedTuple):
     slope: float  # cos(pi/8) sin(pi/8), small-angle gain slope numerator
 
 
-_GUESS_PROB = _COS8 * _COS8
-_LOSS_PAYOUT = _GUESS_PROB / (1.0 - _GUESS_PROB)
 _SLOPE = _COS8 * _SIN8
 #: slope / (1 - p): the small-angle gain per radian.
-_GAIN_SLOPE = _SLOPE / (1.0 - _GUESS_PROB)
-_CONSTANTS = ProtocolConstants(_GUESS_PROB, _LOSS_PAYOUT, _SLOPE)
+_GAIN_SLOPE = _SLOPE / (1.0 - OPTIMAL_GUESS_PROB)
+_CONSTANTS = ProtocolConstants(OPTIMAL_GUESS_PROB, DEFAULT_LOSS_PAYOUT, _SLOPE)
 
 
 def protocol_constants() -> ProtocolConstants:
@@ -210,6 +213,14 @@ def _plane_overlaps(theta: float, claim: StateLabel) -> tuple[float, float, floa
     return s * s, c * c, caught, 1.0 - caught
 
 
+def _check_closed_form(theta: float, check_rate: float, penalty: float) -> None:
+    """A finite theta, and the check-rate and penalty rules."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    _check_rate(check_rate)
+    _check_penalty(penalty)
+
+
 def cheat_gain_exact(
     theta: float, check_rate: float, penalty: float, claim: StateLabel
 ) -> GainBreakdown:
@@ -219,10 +230,11 @@ def cheat_gain_exact(
     checking rounds convict with the orthogonal-outcome probability and
     otherwise settle against a uniform guess.
     """
+    _check_closed_form(theta, check_rate, penalty)
     match, mismatch, caught, survive = _plane_overlaps(theta, claim)
-    normal = (1.0 - check_rate) * (-match + mismatch * _LOSS_PAYOUT)
+    normal = (1.0 - check_rate) * (-match + mismatch * DEFAULT_LOSS_PAYOUT)
     detect = -check_rate * caught * penalty
-    passed = check_rate * survive * 0.5 * (_LOSS_PAYOUT - 1.0)
+    passed = check_rate * survive * 0.5 * (DEFAULT_LOSS_PAYOUT - 1.0)
     return GainBreakdown.from_terms(normal, detect, passed)
 
 
@@ -235,13 +247,15 @@ def claim_gain_upper_bound(
     The half accounts for Alice's Bayesian uncertainty about whether Bob
     measured; the exact gain always sits below this.
     """
+    _check_closed_form(theta, check_rate, penalty)
     _, _, caught, _ = _plane_overlaps(theta, claim)
-    return _LOSS_PAYOUT - 0.5 * check_rate * caught * penalty
+    return DEFAULT_LOSS_PAYOUT - 0.5 * check_rate * caught * penalty
 
 
 def cheat_gain_quadratic_bound(theta: float, check_rate: float, penalty: float) -> float:
     """Small-angle upper bound on the cheating gain near |0>:
     linear reward in theta minus a quadratic conviction cost plus a 3r cushion."""
+    _check_closed_form(theta, check_rate, penalty)
     rr = check_rate * penalty
     return _GAIN_SLOPE * theta - 0.25 * rr * theta * theta + 3.0 * check_rate
 
@@ -252,10 +266,8 @@ def quadratic_bound_optimum(check_rate: float, penalty: float) -> Optimum:
     Raises ValueError unless 0 < check_rate < 1 and the penalty is
     positive and finite.
     """
-    if not 0.0 < check_rate < 1.0:
-        raise ValueError(f"check_rate must lie in (0, 1), got {check_rate}")
-    if not (math.isfinite(penalty) and penalty > 0.0):
-        raise ValueError(f"penalty must be positive and finite, got {penalty}")
+    _check_rate(check_rate)
+    _check_penalty(penalty)
     c = _GAIN_SLOPE
     rr = check_rate * penalty
     theta_star = 2.0 * c / rr
@@ -267,8 +279,7 @@ def optimal_check_rate(penalty: float) -> CheckRatePolicy:
 
     The resulting cap on Alice's gain scales as 1/sqrt(penalty).
     """
-    if not (math.isfinite(penalty) and penalty > 0.0):
-        raise ValueError(f"penalty must be positive and finite, got {penalty}")
+    _check_penalty(penalty)
     c = _GAIN_SLOPE
     rate = c / math.sqrt(3.0 * penalty)
     cap = 2.0 * math.sqrt(3.0) * c / math.sqrt(penalty)
@@ -284,8 +295,7 @@ def unmeasured_posterior(theta: float, check_rate: float, guess: StateLabel) -> 
     Raises ValueError unless 0 < check_rate < 1, as ProtocolParams does,
     and unless `guess` is a StateLabel.
     """
-    if not 0.0 < check_rate < 1.0:
-        raise ValueError(f"check_rate must lie in (0, 1), got {check_rate}")
+    _check_rate(check_rate)
     if not isinstance(guess, StateLabel):
         raise ValueError(f"guess must be a StateLabel, got {guess!r}")
     state = state_from_bloch(theta, 0.0)
@@ -610,16 +620,11 @@ def sweep_cheat_gain(
     params = ProtocolParams(check_rate, penalty)
     r = params.check_rate
     sin_t = np.sin(theta)
-    v = (sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta))
-
-    def born(n) -> np.ndarray:
-        """(1 + n.v)/2: probability of projecting onto the state at Bloch vector n."""
-        return np.clip(0.5 * (1.0 + (n.x * v[0] + n.y * v[1] + n.z * v[2])), 0.0, 1.0)
-
-    p_zero = born(bloch_from_state(BASIS_DISCRIM.plus))
+    x, y, z = sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)
+    p_zero = np.clip(_born(_GUESS_ZERO_AXIS, 1.0, x, y, z), 0.0, 1.0)
     per_claim = []
     for claim in claims:
-        caught = born(bloch_from_state(claim.verification_basis.minus))
+        caught = np.clip(_born(_FAIL_AXIS[claim], 1.0, x, y, z), 0.0, 1.0)
         on_zero = _settle(StateLabel.ZERO, claim)
         on_plus = _settle(StateLabel.PLUS, claim)
         normal = (1.0 - r) * (p_zero * on_zero + (1.0 - p_zero) * on_plus)

@@ -388,6 +388,19 @@ def _sweep_checks(result: analysis.SweepResult, check_rate: float, penalty: floa
     return rows
 
 
+def _sampled_session(alice, params: ProtocolParams, config: dict):
+    """`alice` against honest Bob on the count-level sampler: the stats, the
+    oracle gain, the Monte Carlo estimate and the row holding the two together."""
+    stats = run_session_fast(
+        alice.branch_model().members, params, config["rounds"], session_rng(config["seed"], 0)
+    )
+    oracle = analysis.oracle_expected_gain(alice, params)
+    mc = analysis.monte_carlo_gain(stats)
+    sigma = math.sqrt(analysis.oracle_transfer_variance(alice, params) / stats.rounds)
+    row = _check("monte_carlo_matches_oracle", mc.mean, oracle.total, "within", 4.0 * sigma)
+    return stats, oracle, mc, row
+
+
 # --------------------------------------------------------------------------
 # Commands.
 
@@ -398,13 +411,7 @@ def honest(config):
     """Honest play: session statistics and the win rate against theory."""
     params = _params(config)
     p = analysis.protocol_constants().guess_prob
-    alice = honest_alice()
-    stats = run_session_fast(
-        alice.branch_model().members, params, config["rounds"], session_rng(config["seed"], 0)
-    )
-    oracle = analysis.oracle_expected_gain(alice, params)
-    mc = analysis.monte_carlo_gain(stats)
-
+    stats, oracle, mc, matches = _sampled_session(honest_alice(), params, config)
     rows = [
         _metric("rounds_played", float(stats.rounds)),
         _metric("check_rounds", float(stats.check_rounds)),
@@ -419,11 +426,7 @@ def honest(config):
         rows.append(_metric("bob_win_rate", win_rate))
         if params.noise == 0.0:
             rows.append(_check("win_rate_matches_theory", win_rate, p, "within", 4.0 * sigma))
-    sigma_exact = math.sqrt(
-        analysis.oracle_transfer_variance(alice, params) / stats.rounds
-    )
-    rows.append(_check("monte_carlo_matches_oracle", mc.mean, oracle.total, "within",
-                       4.0 * sigma_exact))
+    rows.append(matches)
     if config["transcript"]:
         _write_transcript(
             config["transcript"], config["format"], honest_alice(),
@@ -453,12 +456,7 @@ def cheat(config):
     theta, phi = config["theta"], config["phi"]
     strat = fixed_state_cheat(CheatPoint(theta, phi, ClaimPolicy(config["claim"])))
     label = strat.branch_model().members[0][2]
-    oracle = analysis.oracle_expected_gain(strat, params)
-    stats = run_session_fast(
-        strat.branch_model().members, params, config["rounds"], session_rng(config["seed"], 0)
-    )
-    mc = analysis.monte_carlo_gain(stats)
-
+    _, oracle, mc, matches = _sampled_session(strat, params, config)
     rows = [
         _metric("claim_label", label.value),
         _metric("oracle_gain_per_round", oracle.total),
@@ -466,13 +464,7 @@ def cheat(config):
         _metric("oracle_detect_term", oracle.detect_term),
         _metric("oracle_pass_term", oracle.pass_term),
         _metric("monte_carlo_gain_per_round", mc.mean, std_error=mc.std_error),
-        _check(
-            "monte_carlo_matches_oracle",
-            mc.mean,
-            oracle.total,
-            "within",
-            4.0 * math.sqrt(analysis.oracle_transfer_variance(strat, params) / stats.rounds),
-        ),
+        matches,
     ]
     if phi == 0.0 and params.noise == 0.0:
         closed = analysis.cheat_gain_exact(theta, params.check_rate, params.penalty, label)

@@ -120,6 +120,16 @@ class ProtocolViolation(RuntimeError):
     StateLabel."""
 
 
+def _check_rate(value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"check_rate must lie in (0, 1), got {value}")
+
+
+def _check_penalty(value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"penalty must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Public parameters of a session.
@@ -138,10 +148,8 @@ class ProtocolParams:
     abort_threshold: float = 0.05
 
     def __post_init__(self):
-        if not 0.0 < self.check_rate < 1.0:
-            raise ValueError(f"check_rate must lie in (0, 1), got {self.check_rate}")
-        if not (math.isfinite(self.penalty) and self.penalty > 0.0):
-            raise ValueError(f"penalty must be positive and finite, got {self.penalty}")
+        _check_rate(self.check_rate)
+        _check_penalty(self.penalty)
         if not 0.0 <= self.noise < 1.0:
             raise ValueError(f"noise must lie in [0, 1), got {self.noise}")
         if not 0.0 <= self.abort_threshold <= 1.0:
@@ -235,8 +243,7 @@ class RoundRegister:
     SubsystemView handles, which lets the engine enforce that each party
     touches only its own subsystem and that nothing is measured twice.
     Subsystem A belongs to "alice" and B to "bob".  The rules live in
-    `SubsystemView.measure`; `measure` here measures through a view built
-    for its `actor`.
+    `SubsystemView.measure`.
 
     One register serves a whole session: at the start of each round the
     engine resets its state, its lone-qubit holder (B) and both measured
@@ -281,15 +288,6 @@ class RoundRegister:
                 splits.clear()
             entry = splits[key] = (flipped, state)
         self._state = entry[0]
-
-    def measure(
-        self, which: Subsystem, basis: MeasurementBasis, rng, actor: str
-    ) -> Outcome:
-        """`actor` measures subsystem `which`, drawing from `rng`, through a
-        view that holds A for "alice", B for "bob" and nothing for anyone
-        else."""
-        own = _A if actor == "alice" else _B if actor == "bob" else None
-        return SubsystemView(self, own, actor, rng.random).measure(basis, which)
 
 
 class SubsystemView:
@@ -359,6 +357,20 @@ class SubsystemView:
 def _settle(guess: StateLabel, claim: StateLabel) -> float:
     """The settlement rule, which `_run_rounds` applies inline."""
     return -1.0 if guess == claim else DEFAULT_LOSS_PAYOUT
+
+
+# The protocol's projectors as Bloch axes: Bob's outcome that announces
+# guess zero, and per claim the verification outcome that convicts.
+_GUESS_ZERO_AXIS = _bloch_xyz(BASIS_DISCRIM.plus)
+_FAIL_AXIS = {lab: _bloch_xyz(lab.verification_basis.minus) for lab in StateLabel}
+
+
+def _born(axis, t, x, y, z):
+    """(t + n.v)/2, with n the projector's Bloch `axis`: the weight with
+    which it fires on states of total weight t whose weighted Bloch vectors
+    sum to v = (x, y, z).  Works on floats and on numpy arrays."""
+    nx, ny, nz = axis
+    return 0.5 * (t + (nx * x + ny * y + nz * z))
 
 
 def run_round(alice, bob, params: ProtocolParams, rng) -> RoundRecord:
@@ -584,16 +596,6 @@ def run_session_fast(
     )
 
 
-# Per claim, the Bloch vectors of the projector whose outcome is a Bob win
-# in a normal round (the discrimination outcome pointing at the claim) and
-# of the one that convicts in a check (the claim's verification minus).
-_WIN_AXIS = {
-    StateLabel.ZERO: _bloch_xyz(BASIS_DISCRIM.plus),
-    StateLabel.PLUS: _bloch_xyz(BASIS_DISCRIM.minus),
-}
-_FAIL_AXIS = {lab: _bloch_xyz(lab.verification_basis.minus) for lab in StateLabel}
-
-
 def _class_probabilities(
     members: Sequence[tuple[float, PureQubit, StateLabel]], eps: float
 ) -> tuple[float, float]:
@@ -601,11 +603,12 @@ def _class_probabilities(
 
     Both are linear in each claim's weighted Bloch vector
     sigma_c = sum of w_k v_k over the members claiming c: a projector with
-    Bloch vector n fires with probability (t_c + n.sigma_c)/2, where t_c is
-    the claim's total weight.  The Pauli channel of rate eps scales every
+    Bloch vector n fires with probability (t_c + n.sigma_c)/2 (`_born`),
+    where t_c is the claim's total weight; Bob wins against claim plus when
+    guess zero does not fire.  The Pauli channel of rate eps scales every
     Bloch vector by 1 - 4 eps/3 (the depolarizing channel).
     """
-    sigma = dict.fromkeys(_WIN_AXIS, (0.0, 0.0, 0.0, 0.0))  # claim: (t_c, sigma_c)
+    sigma = dict.fromkeys(StateLabel, (0.0, 0.0, 0.0, 0.0))  # claim: (t_c, sigma_c)
     for w, s, lab in members:
         vx, vy, vz = _bloch_xyz(s)
         t, x, y, z = sigma[lab]
@@ -614,10 +617,9 @@ def _class_probabilities(
     win = fail = 0.0
     for claim, (t, x, y, z) in sigma.items():
         x, y, z = shrink * x, shrink * y, shrink * z
-        nx, ny, nz = _WIN_AXIS[claim]
-        win += 0.5 * (t + nx * x + ny * y + nz * z)
-        nx, ny, nz = _FAIL_AXIS[claim]
-        fail += 0.5 * (t + nx * x + ny * y + nz * z)
+        p_zero = _born(_GUESS_ZERO_AXIS, t, x, y, z)
+        win += p_zero if claim is _LABEL_ZERO else t - p_zero
+        fail += _born(_FAIL_AXIS[claim], t, x, y, z)
     # Rounding can carry either sum an ulp outside [0, 1].
     return min(max(win, 0.0), 1.0), min(max(fail, 0.0), 1.0)
 

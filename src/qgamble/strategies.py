@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .protocol import BobMove, StateLabel, SubsystemView
+from .protocol import BobMove, StateLabel, SubsystemView, _check_rate
 from .qubits import (
     BASIS_DISCRIM,
     KET_0,
@@ -161,8 +161,7 @@ class _HonestBob(BobStrategy):
     """
 
     def __init__(self, check_rate: float):
-        if not 0.0 < check_rate < 1.0:
-            raise ValueError(f"check_rate must lie in (0, 1), got {check_rate}")
+        _check_rate(check_rate)
         self.check_rate = check_rate
 
     def play(self, received, is_check, rng) -> BobMove:

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ from qgamble.strategies import (
 SQ2 = math.sqrt(2.0)
 PARAMS = ProtocolParams(0.0139385, 10_000.0)
 
+# The three closed forms as functions of (theta, check_rate, penalty).
+CLOSED_FORMS = {
+    "exact": lambda t, r, pen: cheat_gain_exact(t, r, pen, StateLabel.ZERO),
+    "ceiling": lambda t, r, pen: claim_gain_upper_bound(t, r, pen, StateLabel.PLUS),
+    "quadratic": cheat_gain_quadratic_bound,
+}
+# (theta, check_rate, penalty, message) with one bad argument each.
+BAD_CLOSED_FORM_ARGS = [
+    *((0.3, r, 100.0, f"check_rate must lie in (0, 1), got {r}")
+      for r in (0.0, 1.0, 1.5, math.nan)),
+    *((0.3, 0.1, pen, f"penalty must be positive and finite, got {pen}")
+      for pen in (0.0, -1.0, math.nan, math.inf)),
+    *((t, 0.1, 100.0, f"theta must be finite, got {t}") for t in (math.nan, math.inf)),
+]
+
 
 class TestConstants:
     def test_values(self):
@@ -77,6 +93,18 @@ class TestExactGain:
             claim_gain_upper_bound(0.3, 0.1, 100.0, label)
         with pytest.raises(ValueError, match=f"guess must be a StateLabel, got {label!r}"):
             unmeasured_posterior(0.3, 0.1, label)
+
+    @pytest.mark.parametrize("form", CLOSED_FORMS)
+    @pytest.mark.parametrize(
+        "theta, rate, penalty, message",
+        BAD_CLOSED_FORM_ARGS,
+        ids=[f"{t}-{r}-{pen}" for t, r, pen, _ in BAD_CLOSED_FORM_ARGS],
+    )
+    def test_closed_forms_reject_bad_arguments(self, form, theta, rate, penalty, message):
+        # cheat_gain_exact(0.3, 1.5, 100.0, ZERO) once returned a breakdown
+        # and cheat_gain_quadratic_bound(0.1, nan, 100.0) returned nan.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CLOSED_FORMS[form](theta, rate, penalty)
 
     def test_legal_state_leaks_only_pass_term(self):
         g = cheat_gain_exact(0.0, 0.01, 1_000.0, StateLabel.ZERO)
@@ -124,7 +152,7 @@ class TestExactGain:
         for terms in ((inf, 0.0, 0.0), (0.0, 0.0, nan)):
             with pytest.raises(ValueError, match="breakdown terms must be finite"):
                 GainBreakdown.from_terms(*terms)
-        with pytest.raises(ValueError, match="breakdown terms must be finite"):
+        with pytest.raises(ValueError, match="theta must be finite"):
             cheat_gain_exact(nan, 0.1, 100.0, StateLabel.ZERO)
 
     def test_breakdown_is_an_immutable_tuple(self):

@@ -7,10 +7,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import class_counts, class_masses, kept_ledger_chi2
+from conftest import class_counts, class_masses, kept_ledger_chi2, pure_qubits
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgamble import protocol
 from qgamble.analysis import (
+    exact_tolerance,
     monte_carlo_gain,
     optimal_check_rate,
     oracle_expected_gain,
@@ -27,6 +30,7 @@ from qgamble.protocol import (
     RoundType,
     SessionStats,
     StateLabel,
+    SubsystemView,
     _run_rounds,
     _settle,
     _streams,
@@ -598,7 +602,8 @@ class TestNoise:
         for _ in range(n):
             register = RoundRegister(KET_0)
             register.apply_noise(1.0 - 1e-12, rng)
-            flipped += register.measure(Subsystem.B, BASIS_Z, rng, "bob") is Outcome.MINUS
+            view = SubsystemView(register, Subsystem.B, "bob", rng.random)
+            flipped += view.measure(BASIS_Z) is Outcome.MINUS
         sigma = math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / n)
         assert abs(flipped / n - 2.0 / 3.0) < 5.0 * sigma
 
@@ -933,6 +938,31 @@ class TestCountSampler:
         assert min(expected) > 100.0
         chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
         assert chi2 < CHI2_4DOF_1E4, (observed, expected)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.floats(0.01, 1.0), pure_qubits(), st.sampled_from(StateLabel)),
+            min_size=1,
+            max_size=4,
+        ),
+        rate=st.floats(0.001, 0.999),
+        penalty=st.floats(1.0, 1e6),
+        eps=st.floats(0.0, 0.99, exclude_max=True),
+    )
+    def test_class_probabilities_match_oracle(self, draws, rate, penalty, eps):
+        # Exact: the sampler's win and fail probabilities are the oracle's
+        # class masses conditioned on a normal and on a checking round.
+        total = math.fsum(w for w, _, _ in draws)
+        alice = ensemble_cheat(
+            Ensemble(tuple((w / total, s) for w, s, _ in draws)), [c for _, _, c in draws]
+        )
+        params = default_params(check_rate=rate, penalty=penalty, noise=eps)
+        m = class_masses(alice, params)
+        win, fail = protocol._class_probabilities(alice.branch_model().members, eps)
+        want_win, want_fail = m[0] / (m[0] + m[1]), m[2] / (m[2] + m[3] + m[4])
+        assert abs(win - want_win) <= exact_tolerance(win, want_win)
+        assert abs(fail - want_fail) <= exact_tolerance(fail, want_fail)
 
     def test_abort_sits_at_first_trigger(self):
         # Per-check fail rate 0.06 against a 0.05 threshold: sessions abort

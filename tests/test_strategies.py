@@ -12,7 +12,6 @@ from qgamble.analysis import (
 from qgamble.protocol import (
     ProtocolParams,
     StateLabel,
-    run_round,
     run_session,
     session_rng,
 )
@@ -112,11 +111,12 @@ class TestHonestBob:
                 return StateLabel.PLUS
 
         params = ProtocolParams(0.001, 100.0)
-        bob = honest_bob(0.001)
-        rng = RNG(64)
+        records = []
+        run_session(PlusAlice(), honest_bob(0.001), params, 20_000, RNG(64),
+                    on_round=records.append)
+        assert len(records) == 20_000
         hits = rounds = 0
-        for _ in range(20_000):
-            rec = run_round(PlusAlice(), bob, params, rng)
+        for rec in records:
             if rec.round_type.value == "normal":
                 rounds += 1
                 hits += rec.bob_guess is StateLabel.PLUS
@@ -125,11 +125,12 @@ class TestHonestBob:
 
     def test_check_guess_uniform(self):
         params = ProtocolParams(0.999, 100.0)
-        bob = honest_bob(0.999)
-        rng = RNG(65)
+        records = []
+        run_session(honest_alice(), honest_bob(0.999), params, 20_000, RNG(65),
+                    on_round=records.append)
+        assert len(records) == 20_000
         guesses = []
-        for _ in range(20_000):
-            rec = run_round(honest_alice(), bob, params, rng)
+        for rec in records:
             if rec.round_type.value == "check":
                 guesses.append(rec.bob_guess is StateLabel.ZERO)
         frac = sum(guesses) / len(guesses)
