@@ -37,7 +37,6 @@ from .qubits import (
     bloch_from_state,
     ensemble_average_bloch,
     measure,
-    measure_subsystem,
     overlap,
     reduced_bloch,
     state_from_bloch,

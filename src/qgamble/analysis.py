@@ -32,6 +32,7 @@ from .protocol import (
     _FAIL_AXIS,
     _GUESS_ZERO_AXIS,
     _born,
+    _check_label,
     _check_penalty,
     _check_rate,
     _settle,
@@ -205,7 +206,7 @@ def _plane_overlaps(theta: float, claim: StateLabel) -> tuple[float, float, floa
         caught = math.sin(0.5 * theta) ** 2
         return c * c, s * s, caught, 1.0 - caught
     if claim is not StateLabel.PLUS:
-        raise ValueError(f"claim must be a StateLabel, got {claim!r}")
+        _check_label(claim, "claim")
     # Mirror image through the axis halfway between the two legal states.
     s = math.sin(math.pi / 8.0 + 0.5 * theta)
     c = math.cos(math.pi / 8.0 + 0.5 * theta)
@@ -213,10 +214,14 @@ def _plane_overlaps(theta: float, claim: StateLabel) -> tuple[float, float, floa
     return s * s, c * c, caught, 1.0 - caught
 
 
-def _check_closed_form(theta: float, check_rate: float, penalty: float) -> None:
-    """A finite theta, and the check-rate and penalty rules."""
+def _check_theta(theta: float) -> None:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
+
+
+def _check_closed_form(theta: float, check_rate: float, penalty: float) -> None:
+    """A finite theta, and the check-rate and penalty rules."""
+    _check_theta(theta)
     _check_rate(check_rate)
     _check_penalty(penalty)
 
@@ -292,12 +297,12 @@ def unmeasured_posterior(theta: float, check_rate: float, guess: StateLabel) -> 
     Conditions on Bob announcing `guess` when Alice sent the z-x-plane
     state at `theta`.  Never drops below check_rate/2: an unmeasuring Bob
     guesses uniformly, so half the check rate always survives the update.
-    Raises ValueError unless 0 < check_rate < 1, as ProtocolParams does,
-    and unless `guess` is a StateLabel.
+    Raises ValueError unless `theta` is finite, 0 < check_rate < 1 (as
+    ProtocolParams requires) and `guess` is a StateLabel.
     """
+    _check_theta(theta)
     _check_rate(check_rate)
-    if not isinstance(guess, StateLabel):
-        raise ValueError(f"guess must be a StateLabel, got {guess!r}")
+    _check_label(guess, "guess")
     state = state_from_bloch(theta, 0.0)
     anchor = BASIS_DISCRIM.plus if guess is StateLabel.ZERO else BASIS_DISCRIM.minus
     q = overlap(anchor, state)
@@ -306,14 +311,12 @@ def unmeasured_posterior(theta: float, check_rate: float, guess: StateLabel) -> 
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: The golden-section bracket stops at this width or after this many steps.
+_GOLDEN_TOL, _GOLDEN_MAX_ITER = 1e-12, 200
 
 
 def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
     """Golden-section search for the maximum of a unimodal function.
 
@@ -331,8 +334,8 @@ def golden_section_max(
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(_GOLDEN_MAX_ITER):
+        if b - a <= _GOLDEN_TOL:
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
@@ -447,7 +450,7 @@ def _flip_b(amps: tuple[complex, ...], axis: str) -> tuple[complex, ...]:
 # index the same way.  A tuple version is 2-3x faster per call, but the
 # benchmark harness keeps every operation's latency (more operations raise
 # its peak RSS) and reads its tail at p99.99 from 100,000 operations on
-# (ROADMAP item 9).
+# (ROADMAP item 12).
 _Branch = tuple[float, RoundType, StateLabel, StateLabel, CheckResult, float]
 
 
@@ -580,6 +583,10 @@ def monte_carlo_gain(stats: SessionStats) -> MonteCarloEstimate:
     return MonteCarloEstimate(mean, math.sqrt(var / n), n)
 
 
+#: The claims a sweep scores at every grid point, in row order.
+_SWEEP_CLAIMS = (_ZERO, _PLUS)
+
+
 class SweepRow(NamedTuple):
     theta: float
     phi: float
@@ -597,7 +604,6 @@ def sweep_cheat_gain(
     penalty: float,
     theta_grid: Sequence[float],
     phi_grid: Sequence[float],
-    claims: Sequence[StateLabel] = tuple(StateLabel),
 ) -> SweepResult:
     """Exact gain for every (theta, phi, claim) grid point, plus the argmax.
 
@@ -608,11 +614,8 @@ def sweep_cheat_gain(
     together.  Ties go to the earliest grid point, so an unbroken symmetry
     in phi reports the first phi value.
     """
-    if len(theta_grid) == 0 or len(phi_grid) == 0 or len(claims) == 0:
+    if len(theta_grid) == 0 or len(phi_grid) == 0:
         raise ValueError("sweep grids must be non-empty")
-    for i, claim in enumerate(claims):
-        if not isinstance(claim, StateLabel):
-            raise ValueError(f"claims[{i}] must be a StateLabel, got {claim!r}")
     theta = np.asarray(theta_grid, dtype=float)[:, None]
     phi = np.asarray(phi_grid, dtype=float)[None, :]
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
@@ -623,7 +626,7 @@ def sweep_cheat_gain(
     x, y, z = sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)
     p_zero = np.clip(_born(_GUESS_ZERO_AXIS, 1.0, x, y, z), 0.0, 1.0)
     per_claim = []
-    for claim in claims:
+    for claim in _SWEEP_CLAIMS:
         caught = np.clip(_born(_FAIL_AXIS[claim], 1.0, x, y, z), 0.0, 1.0)
         on_zero = _settle(StateLabel.ZERO, claim)
         on_plus = _settle(StateLabel.PLUS, claim)
@@ -636,7 +639,7 @@ def sweep_cheat_gain(
         SweepRow(theta_value, phi_value, claim, GainBreakdown.from_terms(*terms))
         for theta_value, plane in zip(theta_grid, cells)
         for phi_value, line in zip(phi_grid, plane)
-        for claim, terms in zip(claims, line)
+        for claim, terms in zip(_SWEEP_CLAIMS, line)
     ]
     best = max(rows, key=lambda row: row.gain.total)
     return SweepResult(tuple(rows), best)

@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +60,6 @@ __all__ = [
     "ProtocolViolation",
     "RoundRegister",
     "SubsystemView",
-    "BobMove",
     "run_round",
     "run_session",
     "run_session_fast",
@@ -123,6 +122,11 @@ class ProtocolViolation(RuntimeError):
 def _check_rate(value: float) -> None:
     if not 0.0 < value < 1.0:
         raise ValueError(f"check_rate must lie in (0, 1), got {value}")
+
+
+def _check_label(value, what: str) -> None:
+    if not isinstance(value, StateLabel):
+        raise ValueError(f"{what} must be a StateLabel, got {value!r}")
 
 
 def _check_penalty(value: float) -> None:
@@ -219,16 +223,6 @@ class SessionStats:
             bob_wins=self.bob_wins + other.bob_wins,
             aborted=self.aborted or other.aborted,
         )
-
-
-class BobMove(NamedTuple):
-    """Bob's reply in a round: his guess and, in a checking round, the
-    received view as `stored`, unmeasured (None in a normal round).  Unless
-    a check convicts Alice, a guess equal to her claim wins Bob one coin and
-    any other pays her `DEFAULT_LOSS_PAYOUT`."""
-
-    guess: StateLabel
-    stored: Optional["SubsystemView"]
 
 
 #: A split table is cleared once it holds this many entries, so a session
@@ -340,7 +334,6 @@ class SubsystemView:
             if len(splits) >= _SPLITS_MAX:
                 splits.clear()
             entry = splits[key] = (*_split(state, own, basis), state, basis)
-        # qubits._draw, inlined: the call costs about 80 ns a measurement.
         if self._draw() < entry[0]:
             outcome, register._state = _PLUS, entry[1]
         else:
@@ -504,8 +497,7 @@ def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats
         if noise > 0.0:
             register.apply_noise(noise, rng)
         is_check = draw() < check_rate
-        move = play(bob_view, is_check, bob_rng)
-        guess = move.guess
+        guess = play(bob_view, is_check, bob_rng)
         if guess is not _LABEL_ZERO and guess is not _LABEL_PLUS:
             raise ProtocolViolation(f"bob guessed {guess!r}, which is not a StateLabel")
         claim = claim_of(prep.memo, alice_view, guess, alice_rng)
@@ -517,12 +509,9 @@ def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats
             raise ProtocolViolation(f"alice claimed {claim!r}, which is not a StateLabel")
         transfer = on_win if guess is claim else on_loss
         if is_check:
-            if move.stored is None:
-                raise ProtocolViolation("checking round requires Bob to store the qubit")
-            # The engine measures subsystem B through its own view, not
-            # through the object Bob returned, so nothing Bob hands back can
-            # decide the verdict.  If he measured the qubit before the
-            # claim, the view raises.
+            # The engine measures subsystem B through its own view, so
+            # nothing Bob returns or defines can decide the verdict.  If he
+            # measured the qubit before the claim, the view raises.
             checks += 1
             if bob_view.measure(basis) is _MINUS:
                 fails += 1
@@ -570,8 +559,7 @@ def run_session_fast(
     n_rounds = _round_count(n_rounds)
     Ensemble(tuple((w, s) for w, s, _ in members))  # raises unless a distribution
     for i, (_, _, claim) in enumerate(members):
-        if not isinstance(claim, StateLabel):
-            raise ValueError(f"the claim of members[{i}] must be a StateLabel, got {claim!r}")
+        _check_label(claim, f"the claim of members[{i}]")
     win, fail = _class_probabilities(members, params.noise)
 
     if params.abort_threshold >= 1.0:

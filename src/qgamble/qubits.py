@@ -2,8 +2,9 @@
 
 Everything the protocol needs from quantum mechanics lives here: pure
 states as pairs (or quadruples) of complex amplitudes, Bloch-vector
-conversions, projective measurement with Born-rule sampling, subsystem
-measurement on two-qubit states, and ensemble averages of Bloch vectors.
+conversions, projective measurement with Born-rule sampling, exact
+subsystem projection of two-qubit states, and ensemble averages of Bloch
+vectors.
 
 States are immutable values.  A global-phase convention (the amplitude of
 largest-index-zero basis state is real and nonnegative) makes states from
@@ -37,7 +38,6 @@ __all__ = [
     "orthogonal_state",
     "measure",
     "project_subsystem",
-    "measure_subsystem",
     "reduced_bloch",
     "ensemble_average_bloch",
     "apply_pauli",
@@ -378,28 +378,11 @@ def _split(
     return overlap(basis.plus, state), basis.plus, basis.minus
 
 
-def _draw(split: tuple[float, PureQubit | None, PureQubit | None], rng):
-    """One Born-rule sample against a `_split`: the outcome and its post-state."""
-    p_plus, after_plus, after_minus = split
-    if rng.random() < p_plus:
-        return _PLUS, after_plus
-    return _MINUS, after_minus
-
-
 def measure(state: PureQubit, basis: MeasurementBasis, rng) -> tuple[Outcome, PureQubit]:
     """Born-rule sample of a projective measurement; post-state is the basis state."""
-    return _draw(_split(state, _A, basis), rng)
-
-
-def measure_subsystem(
-    state: TwoQubitPure, which: Subsystem, basis: MeasurementBasis, rng
-) -> tuple[Outcome, PureQubit]:
-    """Measure one subsystem; returns the outcome and the collapsed partner state.
-
-    Draws against the same p_plus as `project_subsystem`."""
-    outcome, remaining = _draw(_split(state, which, basis), rng)
-    assert remaining is not None
-    return outcome, remaining
+    if rng.random() < overlap(basis.plus, state):
+        return _PLUS, basis.plus
+    return _MINUS, basis.minus
 
 
 def reduced_bloch(state: TwoQubitPure, which: Subsystem) -> BlochVector:

@@ -16,9 +16,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
-from .protocol import BobMove, StateLabel, SubsystemView, _check_rate
+from .protocol import StateLabel, SubsystemView, _check_label, _check_rate
 from .qubits import (
     BASIS_DISCRIM,
     KET_0,
@@ -60,9 +60,6 @@ __all__ = [
 # reading a member off its Enum class costs about 0.1 us.
 _ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
 _OUTCOME_PLUS = Outcome.PLUS
-# Honest Bob's normal-round moves, one per discrimination outcome.
-_MOVE_ZERO = BobMove(_ZERO, None)
-_MOVE_PLUS = BobMove(_PLUS, None)
 
 
 class ClaimPolicy(Enum):
@@ -138,39 +135,40 @@ class AliceStrategy(abc.ABC):
 
 
 class BobStrategy(abc.ABC):
-    """Receiver side.  Bob chooses his guess and, in a checking round, hands
-    back the received qubit unmeasured.  The engine then measures it in the
-    verification basis of Alice's claim and decides the check; a qubit Bob
-    measured before the claim is a protocol violation.
+    """Receiver side.  Bob's move is his guess.  In a checking round he
+    leaves the received qubit unmeasured; the engine then measures it in
+    the verification basis of Alice's claim and decides the check, and a
+    qubit Bob measured before the claim is a protocol violation.  Unless a
+    check convicts Alice, a guess equal to her claim wins Bob one coin and
+    any other pays her `DEFAULT_LOSS_PAYOUT`.
 
     `rng` is Bob's private stream, with the methods of a numpy Generator.
     """
 
     @abc.abstractmethod
-    def play(self, received: SubsystemView, is_check: bool, rng) -> BobMove:
-        """Bob's move: his guess and, in a checking round, the received
-        view as `stored`, unmeasured."""
+    def play(self, received: SubsystemView, is_check: bool, rng) -> StateLabel:
+        """Bob's guess; in a checking round the received view stays
+        unmeasured."""
 
 
 class _HonestBob(BobStrategy):
     """Plays the optimal discrimination measurement in normal rounds and
-    stores the qubit unmeasured in checking rounds.
+    guesses uniformly, leaving the qubit unmeasured, in checking rounds.
 
     `check_rate` is the publicly announced rate at which this player
-    requests checking rounds; the engine draws the per-round decision.
+    requests checking rounds; the engine draws the per-round decision, so
+    the constructor only checks it.
     """
 
     def __init__(self, check_rate: float):
         _check_rate(check_rate)
-        self.check_rate = check_rate
 
-    def play(self, received, is_check, rng) -> BobMove:
+    def play(self, received, is_check, rng) -> StateLabel:
         if is_check:
-            guess = _ZERO if rng.random() < 0.5 else _PLUS
-            return BobMove(guess, received)
+            return _ZERO if rng.random() < 0.5 else _PLUS
         if received.measure(BASIS_DISCRIM) is _OUTCOME_PLUS:
-            return _MOVE_ZERO
-        return _MOVE_PLUS
+            return _ZERO
+        return _PLUS
 
 
 class _ProductAlice(AliceStrategy):
@@ -273,8 +271,7 @@ def ensemble_cheat(
     if len(claims) != len(ensemble.entries):
         raise ValueError("need exactly one claim label per ensemble member")
     for i, lab in enumerate(claims):
-        if not isinstance(lab, StateLabel):
-            raise ValueError(f"claim {i} must be a StateLabel, got {lab!r}")
+        _check_label(lab, f"claim {i}")
     members = tuple(
         (w, s, lab) for (w, s), lab in zip(ensemble.entries, claims)
     )
@@ -292,8 +289,7 @@ def standard_attack_state() -> TwoQubitPure:
 
 
 def entangled_cheat(
-    basis_policy: Mapping[StateLabel, MeasurementBasis]
-    | Callable[[StateLabel], MeasurementBasis],
+    basis_policy: Mapping[StateLabel, MeasurementBasis],
     label_by_outcome: Optional[Mapping[Outcome, StateLabel]] = None,
     state: Optional[TwoQubitPure] = None,
 ) -> AliceStrategy:
@@ -305,10 +301,7 @@ def entangled_cheat(
     z-basis measurement of the standard attack state).  A custom two-qubit
     `state` may be supplied for exploration.
     """
-    if callable(basis_policy):
-        policy = {lab: basis_policy(lab) for lab in StateLabel}
-    else:
-        policy = dict(basis_policy)
+    policy = dict(basis_policy)
     missing = [lab for lab in StateLabel if lab not in policy]
     if missing:
         raise ValueError(f"basis policy must cover every guess, missing {missing}")
@@ -316,10 +309,7 @@ def entangled_cheat(
     if any(o not in table for o in Outcome):
         raise ValueError("outcome table must cover both outcomes")
     for o in Outcome:
-        if not isinstance(table[o], StateLabel):
-            raise ValueError(
-                f"label for outcome {o.value} must be a StateLabel, got {table[o]!r}"
-            )
+        _check_label(table[o], f"label for outcome {o.value}")
     return _EntangledCheat(state or standard_attack_state(), policy, table)
 
 

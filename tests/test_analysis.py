@@ -378,9 +378,10 @@ class TestPosterior:
             with pytest.raises(ValueError, match="check_rate must lie in"):
                 unmeasured_posterior(0.3, rate, StateLabel.ZERO)
 
-    def test_rejects_nan_theta(self):
-        with pytest.raises(ValueError):
-            unmeasured_posterior(math.nan, 0.1, StateLabel.PLUS)
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_nan_theta(self, theta):
+        with pytest.raises(ValueError, match=rf"^theta must be finite, got {theta}$"):
+            unmeasured_posterior(theta, 0.1, StateLabel.PLUS)
 
 
 class TestOracle:
@@ -578,11 +579,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_cheat_gain(0.1, 100.0, thetas, np.array([]))
 
-    def test_rejects_non_label_claims(self):
-        # Once an AttributeError from `claim.verification_basis`.
-        with pytest.raises(ValueError, match=r"^claims\[1\] must be a StateLabel, got 'zero'$"):
-            sweep_cheat_gain(0.1, 100.0, [0.1], [0.0], claims=[StateLabel.PLUS, "zero"])
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_angles(self, bad):
         with pytest.raises(ValueError):
@@ -613,10 +609,13 @@ class TestSweep:
     def test_ties_go_to_earliest_row(self):
         # Every azimuth at theta = 0 is the same state, and the grid repeats
         # that state; the legal state |0> with a truthful claim is the best.
-        thetas = [0.0, 0.0]
+        # The first theta, |1>, ties with nothing, so the earliest best row
+        # is not the first row.
+        thetas = [math.pi, 0.0, 0.0]
         phis = [0.0, 1.0, 2.0]
-        result = sweep_cheat_gain(0.1, 100.0, thetas, phis, (StateLabel.PLUS, StateLabel.ZERO))
-        assert result.best is result.rows[1]
+        result = sweep_cheat_gain(0.1, 100.0, thetas, phis)
+        assert result.best is result.rows[6]
+        assert result.best.claim is StateLabel.ZERO
         assert sum(r.gain.total == result.best.gain.total for r in result.rows) == 6
 
 

@@ -22,7 +22,6 @@ from qgamble.analysis import (
 from qgamble.protocol import (
     DEFAULT_LOSS_PAYOUT,
     MIN_CHECKS_FOR_ABORT,
-    BobMove,
     CheckResult,
     ProtocolParams,
     ProtocolViolation,
@@ -182,9 +181,8 @@ class TestRunRound:
                 self.stored = None
 
             def play(self, received, is_check, rng):
-                move = self.inner.play(received, is_check, rng)
-                self.stored = move.stored
-                return move
+                self.stored = received
+                return self.inner.play(received, is_check, rng)
 
         spy = SpyBob()
         rng = RNG(14)
@@ -212,12 +210,10 @@ class TestRunRound:
         class ForgingBob:
             def __init__(self):
                 self.inner = honest_bob(params.check_rate)
+                self.stored = StandIn() if forgery == "stand_in" else None
 
             def play(self, received, is_check, rng):
-                move = self.inner.play(received, is_check, rng)
-                if is_check and forgery == "stand_in":
-                    return move._replace(stored=StandIn())
-                return move
+                return self.inner.play(received, is_check, rng)
 
             def verify(self, stored, claim, rng):
                 return CheckResult.FAIL
@@ -263,7 +259,7 @@ class TestRunRound:
             def play(self, received, is_check, rng):
                 received.measure(BASIS_Z)
                 received.measure(BASIS_Z)
-                return BobMove(StateLabel.ZERO, None)
+                return StateLabel.ZERO
 
         with pytest.raises(ProtocolViolation):
             run_round(honest_alice(), GreedyBob(), params, RNG(17))
@@ -289,7 +285,7 @@ class TestRunRound:
         class PeekingBob:
             def play(self, received, is_check, rng):
                 received.measure(BASIS_Z, which=Subsystem.A)
-                return BobMove(StateLabel.ZERO, None)
+                return StateLabel.ZERO
 
         alice = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
         with pytest.raises(ProtocolViolation, match="bob attempted to measure subsystem A"):
@@ -297,32 +293,57 @@ class TestRunRound:
 
     @pytest.mark.parametrize("basis", [BASIS_Z, BASIS_DISCRIM], ids=["z", "discrim"])
     def test_stored_qubit_measured_before_verify_rejected(self, basis):
-        # Bob measures every round, guesses from the outcome and still hands
-        # the measured qubit back as stored.
+        # Bob measures every round, checking rounds too, and guesses from
+        # the outcome.
         params = default_params(check_rate=0.999)
 
         class EagerBob:
             def play(self, received, is_check, rng):
                 outcome = received.measure(basis)
-                guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
-                return BobMove(guess, received if is_check else None)
+                return StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
 
         rng = RNG(20)
         with pytest.raises(ProtocolViolation, match="subsystem B was already measured"):
             for _ in range(20):
                 run_round(honest_alice(), EagerBob(), params, rng)
 
-    def test_check_round_without_stored_qubit_rejected(self):
-        params = default_params(check_rate=0.999)
+    def test_guess_only_bob_gets_the_engines_verdict(self):
+        # Bob never measures and returns only his guess; the engine measures
+        # the qubit he leaves in each checking round and decides the check.
+        params = default_params(check_rate=0.5)
 
-        class ForgetfulBob:
+        class GuessingBob:
             def play(self, received, is_check, rng):
-                return BobMove(StateLabel.ZERO, None)
+                return StateLabel.ZERO
 
-        rng = RNG(21)
-        with pytest.raises(ProtocolViolation, match="requires Bob to store the qubit"):
-            for _ in range(20):
-                run_round(honest_alice(), ForgetfulBob(), params, rng)
+        honest = run_session(honest_alice(), GuessingBob(), params, 2_000, session_rng(21))
+        assert honest.check_rounds > MIN_CHECKS_FOR_ABORT
+        assert honest.check_fails == 0
+        assert not honest.aborted
+        minus_as_plus = ensemble_cheat(Ensemble(((1.0, KET_MINUS),)), [StateLabel.PLUS])
+        caught = run_session(minus_as_plus, GuessingBob(), params, 2_000, session_rng(21))
+        assert caught.check_rounds == caught.check_fails == MIN_CHECKS_FOR_ABORT
+        assert caught.aborted
+
+    @pytest.mark.parametrize("check_rate", [0.001, 0.999], ids=["normal", "check"])
+    def test_bob_returning_a_pair_rejected(self, check_rate):
+        # A Bob whose move is still (guess, received view) announces a tuple,
+        # which is not a guess.
+        params = default_params(check_rate=check_rate)
+
+        class PairBob:
+            def __init__(self):
+                self.inner = honest_bob(params.check_rate)
+
+            def play(self, received, is_check, rng):
+                return self.inner.play(received, is_check, rng), received
+
+        with pytest.raises(
+            ProtocolViolation,
+            match=r"^bob guessed \(<StateLabel\.\w+: '\w+'>, <qgamble\.protocol\.SubsystemView "
+            r"object at 0x[0-9a-f]+>\), which is not a StateLabel$",
+        ):
+            run_round(honest_alice(), PairBob(), params, RNG(21))
 
 
 def _rogue_alice(own_view):
@@ -448,9 +469,9 @@ class _LateGuessBob:
         self.inner, self.value, self.left = honest_bob(check_rate), value, honest
 
     def play(self, received, is_check, rng):
-        move = self.inner.play(received, is_check, rng)
+        guess = self.inner.play(received, is_check, rng)
         self.left -= 1
-        return move if self.left >= 0 else move._replace(guess=self.value)
+        return guess if self.left >= 0 else self.value
 
 
 # (Alice factory, Bob factory, message) for announcements that are not a
@@ -545,9 +566,8 @@ class TestSessionViews:
                 self.inner, self.stored = honest_bob(0.5), None
 
             def play(self, received, is_check, rng):
-                move = self.inner.play(received, is_check, rng)
-                self.stored = move.stored
-                return move
+                self.stored = received
+                return self.inner.play(received, is_check, rng)
 
         bob, checked = StoringBob(), []
 
@@ -1168,7 +1188,7 @@ class _PreparationPredictingBob:
         if is_check:
             copy.random()
         self.predicted = copy.random()
-        return BobMove(guess, received if is_check else None)
+        return guess
 
 
 class _SeedReadingBob:
@@ -1180,8 +1200,7 @@ class _SeedReadingBob:
     def play(self, received, is_check, rng):
         if self.alice is None:
             self.alice = _sibling(rng, 1)
-        guess = StateLabel.ZERO if self.alice.random() < 0.5 else StateLabel.PLUS
-        return BobMove(guess, received if is_check else None)
+        return StateLabel.ZERO if self.alice.random() < 0.5 else StateLabel.PLUS
 
 
 _ANTI_X = MeasurementBasis(KET_MINUS, KET_PLUS)
@@ -1196,10 +1215,9 @@ class _BornPeekingBob:
     def play(self, received, is_check, rng):
         u = self.outcome_draw(rng)
         if is_check:
-            return BobMove(StateLabel.ZERO, received)
+            return StateLabel.ZERO
         outcome = received.measure(BASIS_Z if u > 0.5 else _ANTI_X)
-        guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
-        return BobMove(guess, None)
+        return StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
 
     def outcome_draw(self, rng):
         return _peek(rng).random()
@@ -1274,10 +1292,9 @@ class TestPrivateStreams:
             def play(self, received, is_check, rng):
                 seen.setdefault("bob", (rng, rng.bit_generator.state))
                 if is_check:
-                    return BobMove(StateLabel.ZERO, received)
+                    return StateLabel.ZERO
                 outcome = received.measure(BASIS_DISCRIM)
-                guess = StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
-                return BobMove(guess, None)
+                return StateLabel.ZERO if outcome is Outcome.PLUS else StateLabel.PLUS
 
         params = default_params(check_rate=0.2, noise=0.1, abort_threshold=1.0)
         stats = run_session(StillAlice(), StillBob(), params, 2_000, session_rng(8))

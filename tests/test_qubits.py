@@ -40,7 +40,6 @@ from qgamble.qubits import (
     bloch_from_state,
     ensemble_average_bloch,
     measure,
-    measure_subsystem,
     orthogonal_state,
     overlap,
     project_subsystem,
@@ -253,26 +252,11 @@ class TestTwoQubit:
         assert far.isclose(PureQubit(s8, -c8), tol=1e-12)
 
     def test_product_state_cannot_steer(self):
-        rng = RNG(4)
+        # Every possible outcome on A leaves B as it was; z on |0> has one.
         state = tensor_product(KET_0, KET_PLUS)
         for basis in (BASIS_Z, BASIS_X, BASIS_DISCRIM):
-            _, remaining = measure_subsystem(state, Subsystem.A, basis, rng)
-            assert remaining.isclose(KET_PLUS, tol=1e-12)
-
-    def test_measure_subsystem_matches_projection(self):
-        # One draw against p_plus from project_subsystem, and the collapsed
-        # state of the drawn outcome, bit for bit.
-        state = TwoQubitPure((0.5, 0.5j, -0.5, 0.5))
-        rng = RNG(4)
-        for which in Subsystem:
-            for basis in (BASIS_Z, BASIS_X, BASIS_DISCRIM):
-                sides = project_subsystem(state, which, basis)
-                for _ in range(20):
-                    u = copy.deepcopy(rng).random()
-                    outcome, post = measure_subsystem(state, which, basis, rng)
-                    index = 0 if u < sides[0][0] else 1
-                    assert outcome is (Outcome.PLUS, Outcome.MINUS)[index]
-                    assert post == sides[index][1]
+            for p, remaining in project_subsystem(state, Subsystem.A, basis):
+                assert p == 0.0 and remaining is None or remaining.isclose(KET_PLUS, tol=1e-12)
 
     def test_reduced_bloch_attack_state(self):
         # Hand computation: equal mixture of |0> and |+>.

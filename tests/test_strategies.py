@@ -37,7 +37,6 @@ from qgamble.qubits import (
 from qgamble.strategies import (
     CheatPoint,
     ClaimPolicy,
-    EntangledModel,
     NonEnumerableStrategyError,
     AliceStrategy,
     declared_bob_bloch,
@@ -307,12 +306,6 @@ class TestEntangledCheat:
             entangled_cheat(policy, {Outcome.PLUS: bad, Outcome.MINUS: StateLabel.PLUS})
         with pytest.raises(ValueError, match="^label for outcome minus must be a StateLabel"):
             entangled_cheat(policy, {Outcome.PLUS: StateLabel.ZERO, Outcome.MINUS: bad})
-
-    def test_callable_policy(self):
-        attack = entangled_cheat(lambda guess: BASIS_Z)
-        model = attack.branch_model()
-        assert isinstance(model, EntangledModel)
-        assert model.basis_by_guess[StateLabel.PLUS] is BASIS_Z
 
     def test_custom_state_accepted(self):
         bell = TwoQubitPure((1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)))
