@@ -43,7 +43,6 @@ from .qubits import (
     BASIS_Z,
     OPTIMAL_GUESS_PROB,
     PAULI_AXES,
-    Outcome,
     PureQubit,
     Subsystem,
     _COS8,
@@ -91,7 +90,6 @@ _ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
 _NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
 _PASS, _FAIL = CheckResult.PASS, CheckResult.FAIL
 _NOT_APPLICABLE = CheckResult.NOT_APPLICABLE
-_OUTCOME_PLUS, _OUTCOME_MINUS = Outcome.PLUS, Outcome.MINUS
 _B = Subsystem.B
 
 
@@ -200,12 +198,12 @@ def _plane_overlaps(theta: float, claim: StateLabel) -> tuple[float, float, floa
     p_match is the probability Bob's optimal-measurement guess equals the
     claim; p_caught the probability the verification measurement convicts.
     """
-    if claim is StateLabel.ZERO:
+    if claim is _ZERO:
         c = math.cos(math.pi / 8.0 + 0.5 * theta)
         s = math.sin(math.pi / 8.0 + 0.5 * theta)
         caught = math.sin(0.5 * theta) ** 2
         return c * c, s * s, caught, 1.0 - caught
-    if claim is not StateLabel.PLUS:
+    if claim is not _PLUS:
         _check_label(claim, "claim")
     # Mirror image through the axis halfway between the two legal states.
     s = math.sin(math.pi / 8.0 + 0.5 * theta)
@@ -221,9 +219,17 @@ def _check_theta(theta: float) -> None:
 
 def _check_closed_form(theta: float, check_rate: float, penalty: float) -> None:
     """A finite theta, and the check-rate and penalty rules."""
-    _check_theta(theta)
-    _check_rate(check_rate)
-    _check_penalty(penalty)
+    # One test when all three hold; the single-value checks run, in order,
+    # only to pick the message.
+    if not (
+        math.isfinite(theta)
+        and 0.0 < check_rate < 1.0
+        and math.isfinite(penalty)
+        and penalty > 0.0
+    ):
+        _check_theta(theta)
+        _check_rate(check_rate)
+        _check_penalty(penalty)
 
 
 def cheat_gain_exact(
@@ -304,7 +310,7 @@ def unmeasured_posterior(theta: float, check_rate: float, guess: StateLabel) -> 
     _check_rate(check_rate)
     _check_label(guess, "guess")
     state = state_from_bloch(theta, 0.0)
-    anchor = BASIS_DISCRIM.plus if guess is StateLabel.ZERO else BASIS_DISCRIM.minus
+    anchor = BASIS_DISCRIM.plus if guess is _ZERO else BASIS_DISCRIM.minus
     q = overlap(anchor, state)
     half_r = 0.5 * check_rate
     return half_r / (half_r + (1.0 - check_rate) * q)
@@ -443,9 +449,9 @@ def _flip_b(amps: tuple[complex, ...], axis: str) -> tuple[complex, ...]:
 
 # RoundBranch fields.  `_entangled_branches` yields them as plain tuples,
 # with every per-branch constant (settlements, conjugated amplitudes, the
-# strategy's lookup tables) resolved once per call: enum-keyed lookups hash
-# through the Python-level Enum.__hash__.  It projects amplitude tuples,
-# with no state object per noise branch or projection.
+# strategy's resolved bases and labels) worked out once per call, and
+# projects amplitude tuples, with no state object per noise branch or
+# projection.
 # `_product_branches` still yields RoundBranch objects, which the consumers
 # index the same way.  A tuple version is 2-3x faster per call, but the
 # benchmark harness keeps every operation's latency (more operations raise
@@ -457,16 +463,12 @@ _Branch = tuple[float, RoundType, StateLabel, StateLabel, CheckResult, float]
 def _entangled_branches(model: EntangledModel, params: ProtocolParams) -> Iterator[_Branch]:
     r = params.check_rate
     penalty = -params.penalty
-    labels = (
-        model.label_by_outcome[_OUTCOME_PLUS],
-        model.label_by_outcome[_OUTCOME_MINUS],
-    )
+    labels = (model._label_if_plus, model._label_if_minus)
     # Per guess: Alice's two conjugated basis states, each with its claim,
     # settlement and the conjugated failing state of the claim's
     # verification basis.
     policy = []
-    for guess in (_ZERO, _PLUS):
-        basis = model.basis_by_guess[guess]
+    for guess, basis in ((_ZERO, model._basis_if_zero), (_PLUS, model._basis_if_plus)):
         sides = tuple(
             (
                 *_conjugated(onto),
@@ -560,17 +562,16 @@ def oracle_transcript_distribution(
 ) -> dict[tuple[RoundType, StateLabel, StateLabel, CheckResult], float]:
     """Exact distribution over observable round transcripts
     (round type, guess, claim, check result)."""
-    # Keyed by the members' identities, which hash without Enum.__hash__;
-    # each transcript tuple is built once, in first-seen order.
-    buckets: dict[tuple[int, int, int, int], tuple[tuple, list[float]]] = {}
+    buckets: dict[tuple[RoundType, StateLabel, StateLabel, CheckResult], list[float]] = {}
     for prob, round_type, guess, claim, result, _ in _branches(alice, params):
         if prob > 0.0:
-            ident = (id(round_type), id(guess), id(claim), id(result))
-            bucket = buckets.get(ident)
+            key = (round_type, guess, claim, result)
+            bucket = buckets.get(key)
             if bucket is None:
-                bucket = buckets[ident] = ((round_type, guess, claim, result), [])
-            bucket[1].append(prob)
-    return {key: math.fsum(probs) for key, probs in buckets.values()}
+                buckets[key] = [prob]
+            else:
+                bucket.append(prob)
+    return {key: math.fsum(probs) for key, probs in buckets.items()}
 
 
 def monte_carlo_gain(stats: SessionStats) -> MonteCarloEstimate:
@@ -628,8 +629,8 @@ def sweep_cheat_gain(
     per_claim = []
     for claim in _SWEEP_CLAIMS:
         caught = np.clip(_born(_FAIL_AXIS[claim], 1.0, x, y, z), 0.0, 1.0)
-        on_zero = _settle(StateLabel.ZERO, claim)
-        on_plus = _settle(StateLabel.PLUS, claim)
+        on_zero = _settle(_ZERO, claim)
+        on_plus = _settle(_PLUS, claim)
         normal = (1.0 - r) * (p_zero * on_zero + (1.0 - p_zero) * on_plus)
         detect = 0.0 - r * caught * params.penalty  # 0.0, not -0.0, when never caught
         passed = r * (1.0 - caught) * 0.5 * (on_zero + on_plus)
@@ -661,7 +662,7 @@ def all_thetas_peak_in_plane(result: SweepResult, check_rate: float, penalty: fl
         in_plane = max(
             cheat_gain_exact(polar, check_rate, penalty, claim).total
             for polar in (theta, -theta)
-            for claim in StateLabel
+            for claim in (_ZERO, _PLUS)
         )
         if best > in_plane + exact_tolerance(best, in_plane):
             return False
@@ -676,7 +677,7 @@ def entangled_policy_gains(params: ProtocolParams) -> list[tuple[str, GainBreakd
     rows = []
     for b_zero in bases:
         for b_plus in bases:
-            policy = {StateLabel.ZERO: b_zero, StateLabel.PLUS: b_plus}
+            policy = {_ZERO: b_zero, _PLUS: b_plus}
             name = f"zero->{b_zero.label},plus->{b_plus.label}"
             gain = oracle_expected_gain(entangled_cheat(policy), params)
             rows.append((name, gain))

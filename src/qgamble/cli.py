@@ -369,7 +369,7 @@ def _transcript_distance(alice_a, alice_b, params) -> float:
 
 def _entanglement_checks(params: ProtocolParams) -> list[dict]:
     """The constant-z attack is honest play, the x-basis steering weight,
-    and (for R >= 100) the constant-x attack loses."""
+    and, where r*R > (1+sqrt 2)(4-r), the constant-x attack loses."""
     z_attack = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
     x_attack = entangled_cheat({lab: BASIS_X for lab in StateLabel})
     (p_near, _), _ = project_subsystem(x_attack.branch_model().state, Subsystem.A, BASIS_X)
@@ -378,7 +378,11 @@ def _entanglement_checks(params: ProtocolParams) -> list[dict]:
                _transcript_distance(z_attack, honest_alice(), params), 0.0, "within", 1e-12),
         _check("steered_state_weight", p_near, (2.0 + math.sqrt(2.0)) / 4.0, "within", 1e-12),
     ]
-    if params.penalty >= 100.0:
+    # Noiseless, the constant-x gain is (1-r)(1+sqrt 2) + r(3(1+sqrt 2)/4 - R/4),
+    # negative exactly here.  Noise adds check fails and leaves the normal
+    # term alone, so the regime holds at every noise level.
+    r, penalty = params.check_rate, params.penalty
+    if r * penalty > (1.0 + math.sqrt(2.0)) * (4.0 - r):
         x_gain = analysis.oracle_expected_gain(x_attack, params)
         rows.append(_check("constant_x_gain_negative", x_gain.total, 0.0, "at_most"))
     return rows

@@ -81,6 +81,10 @@ class StateLabel(Enum):
     ZERO = "zero"
     PLUS = "plus"
 
+    # Members compare by identity, so they hash by it too: Enum.__hash__
+    # hashes the member's name in Python.
+    __hash__ = object.__hash__
+
     @property
     def state(self) -> PureQubit:
         return KET_0 if self is StateLabel.ZERO else KET_PLUS
@@ -95,11 +99,15 @@ class RoundType(Enum):
     NORMAL = "normal"
     CHECK = "check"
 
+    __hash__ = object.__hash__
+
 
 class CheckResult(Enum):
     PASS = "pass"
     FAIL = "fail"
     NOT_APPLICABLE = "not_applicable"
+
+    __hash__ = object.__hash__
 
 
 # The round path reads enum members through these names: on Python 3.11,

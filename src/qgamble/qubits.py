@@ -78,12 +78,18 @@ class Outcome(Enum):
     PLUS = "plus"
     MINUS = "minus"
 
+    # Members compare by identity, so they hash by it too: Enum.__hash__
+    # hashes the member's name in Python.
+    __hash__ = object.__hash__
+
 
 class Subsystem(Enum):
     """Tensor-factor labels of a two-qubit state: A is kept, B is sent."""
 
     A = "A"
     B = "B"
+
+    __hash__ = object.__hash__
 
 
 # Per-measurement code reads enum members through these names: on Python
@@ -103,20 +109,22 @@ def _canonical(a0: complex, a1: complex, m0: float, m1: float) -> tuple[complex,
     return a0, a1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PureQubit:
     """Normalized single-qubit pure state a0|0> + a1|1>."""
 
     amp0: complex
     amp1: complex
 
-    def __post_init__(self):
-        a0, a1 = complex(self.amp0), complex(self.amp1)
-        if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
-            raise ValueError("amplitudes must be finite")
+    def __init__(self, amp0: complex, amp1: complex):
+        a0, a1 = complex(amp0), complex(amp1)
         m0, m1 = abs(a0), abs(a1)
         norm_sq = m0**2 + m1**2
-        if abs(norm_sq - 1.0) > ATOL_STATE:
+        # One comparison, false on a NaN or infinite amplitude too; the
+        # finiteness test only picks the message.
+        if not abs(norm_sq - 1.0) <= ATOL_STATE:
+            if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
+                raise ValueError("amplitudes must be finite")
             raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
         a0, a1 = _canonical(a0, a1, m0, m1)
         object.__setattr__(self, "amp0", a0)
@@ -196,14 +204,14 @@ def _two_qubit_amps(amps) -> tuple[complex, complex, complex, complex]:
         raise ValueError("two-qubit state needs exactly 4 amplitudes")
     a0, a1 = complex(amps[0]), complex(amps[1])
     a2, a3 = complex(amps[2]), complex(amps[3])
-    if not (
-        cmath.isfinite(a0) and cmath.isfinite(a1)
-        and cmath.isfinite(a2) and cmath.isfinite(a3)
-    ):
-        raise ValueError("amplitudes must be finite")
     m0, m1, m2, m3 = abs(a0), abs(a1), abs(a2), abs(a3)
     norm_sq = m0**2 + m1**2 + m2**2 + m3**2
-    if abs(norm_sq - 1.0) > ATOL_STATE:
+    if not abs(norm_sq - 1.0) <= ATOL_STATE:
+        if not (
+            cmath.isfinite(a0) and cmath.isfinite(a1)
+            and cmath.isfinite(a2) and cmath.isfinite(a3)
+        ):
+            raise ValueError("amplitudes must be finite")
         raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
     if m0 > _PHASE_CUTOFF:
         ref, mag = a0, m0
@@ -219,7 +227,7 @@ def _two_qubit_amps(amps) -> tuple[complex, complex, complex, complex]:
     return a0, a1, a2, a3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoQubitPure:
     """Normalized two-qubit pure state; amplitude order |00>,|01>,|10>,|11>.
 
@@ -229,32 +237,43 @@ class TwoQubitPure:
 
     amps: tuple[complex, complex, complex, complex]
 
-    def __post_init__(self):
-        object.__setattr__(self, "amps", _two_qubit_amps(self.amps))
+    def __init__(self, amps: tuple[complex, complex, complex, complex]):
+        object.__setattr__(self, "amps", _two_qubit_amps(amps))
 
     def amp(self, a: int, b: int) -> complex:
         return self.amps[2 * a + b]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ensemble:
     """Probability-weighted mixture of pure states."""
 
     entries: tuple[tuple[float, PureQubit], ...]
 
-    def __post_init__(self):
-        entries = tuple((float(w), s) for w, s in self.entries)
-        if not entries:
-            raise ValueError("ensemble must not be empty")
-        for i, (w, s) in enumerate(entries):
-            if not 0.0 <= w < math.inf:
-                raise ValueError(f"ensemble weight {i} must be nonnegative and finite, got {w!r}")
-            if not isinstance(s, PureQubit):
-                raise ValueError(f"ensemble entry {i} must hold a PureQubit, got {s!r}")
-        total = math.fsum(w for w, _ in entries)
-        if abs(total - 1.0) > ATOL_STATE:
+    def __init__(self, entries: tuple[tuple[float, PureQubit], ...]):
+        # One pass over the entries.  An empty ensemble fails the sum (fsum
+        # of nothing is 0.0), and the per-index messages are worked out only
+        # on failure, the first fault first.
+        checked, weights, valid = [], [], True
+        for w, s in entries:
+            w = float(w)
+            if not (0.0 <= w < math.inf and isinstance(s, PureQubit)):
+                valid = False
+            checked.append((w, s))
+            weights.append(w)
+        if not (valid and abs(math.fsum(weights) - 1.0) <= ATOL_STATE):
+            if not checked:
+                raise ValueError("ensemble must not be empty")
+            for i, (w, s) in enumerate(checked):
+                if not 0.0 <= w < math.inf:
+                    raise ValueError(
+                        f"ensemble weight {i} must be nonnegative and finite, got {w!r}"
+                    )
+                if not isinstance(s, PureQubit):
+                    raise ValueError(f"ensemble entry {i} must hold a PureQubit, got {s!r}")
+            total = math.fsum(weights)
             raise ValueError(f"ensemble weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(checked))
 
 
 def state_from_bloch(polar: float, azimuth: float) -> PureQubit:
@@ -405,12 +424,13 @@ def reduced_bloch(state: TwoQubitPure, which: Subsystem) -> BlochVector:
 
 def ensemble_average_bloch(ensemble: Ensemble) -> BlochVector:
     """Weighted sum of member Bloch vectors; the Bloch vector of the mixture."""
-    vecs = [(w, *_bloch_xyz(s)) for w, s in ensemble.entries]
-    return BlochVector(
-        math.fsum(w * x for w, x, _, _ in vecs),
-        math.fsum(w * y for w, _, y, _ in vecs),
-        math.fsum(w * z for w, _, _, z in vecs),
-    )
+    xs, ys, zs = [], [], []
+    for w, s in ensemble.entries:
+        x, y, z = _bloch_xyz(s)
+        xs.append(w * x)
+        ys.append(w * y)
+        zs.append(w * z)
+    return BlochVector(math.fsum(xs), math.fsum(ys), math.fsum(zs))
 
 
 def _pauli(axis: PauliAxis, a0: complex, a1: complex) -> tuple[complex, complex]:

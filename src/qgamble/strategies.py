@@ -59,9 +59,12 @@ __all__ = [
 
 
 # Per-round code reads enum members through these names: on Python 3.11,
-# reading a member off its Enum class costs about 0.1 us.
+# reading a member off its Enum class costs about 0.1 us, and iterating or
+# calling an Enum class runs Python-level EnumType methods.
 _ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
-_OUTCOME_PLUS = Outcome.PLUS
+_OUTCOME_PLUS, _OUTCOME_MINUS = Outcome.PLUS, Outcome.MINUS
+_LABELS = (_ZERO, _PLUS)
+_OUTCOMES = (_OUTCOME_PLUS, _OUTCOME_MINUS)
 
 
 class ClaimPolicy(Enum):
@@ -70,6 +73,15 @@ class ClaimPolicy(Enum):
     ZERO = "zero"
     PLUS = "plus"
     NEAREST = "nearest"
+
+    # Members compare by identity, so they hash by it too: Enum.__hash__
+    # hashes the member's name in Python.
+    __hash__ = object.__hash__
+
+
+_NEAREST = ClaimPolicy.NEAREST
+#: The claim of each fixed claim policy.
+_CLAIM_OF_POLICY = {ClaimPolicy.ZERO: _ZERO, ClaimPolicy.PLUS: _PLUS}
 
 
 @dataclass(frozen=True)
@@ -197,12 +209,12 @@ class EntangledModel(AliceStrategy):
         self.state = state
         self.basis_by_guess = basis_by_guess
         self.label_by_outcome = label_by_outcome
-        # Resolved once: an enum-keyed lookup hashes through the Python-level
-        # Enum.__hash__, twice per round.
-        self._basis_if_zero = basis_by_guess[StateLabel.ZERO]
-        self._basis_if_plus = basis_by_guess[StateLabel.PLUS]
-        self._label_if_plus = label_by_outcome[Outcome.PLUS]
-        self._label_if_minus = label_by_outcome[Outcome.MINUS]
+        # Resolved once, so a round and the oracle read one attribute each
+        # instead of a table and a key.
+        self._basis_if_zero = basis_by_guess[_ZERO]
+        self._basis_if_plus = basis_by_guess[_PLUS]
+        self._label_if_plus = label_by_outcome[_OUTCOME_PLUS]
+        self._label_if_minus = label_by_outcome[_OUTCOME_MINUS]
         self._prep = Preparation(state)
 
     def prepare(self, rng) -> Preparation:
@@ -236,15 +248,15 @@ def honest_bob(check_rate: float) -> BobStrategy:
 def _nearest_label(state: PureQubit) -> StateLabel:
     # Tie at the symmetric point goes to ZERO; the payoff is the same either way.
     if overlap(KET_0, state) >= overlap(KET_PLUS, state):
-        return StateLabel.ZERO
-    return StateLabel.PLUS
+        return _ZERO
+    return _PLUS
 
 
 def fixed_state_cheat(point: CheatPoint) -> ProductModel:
     state = state_from_bloch(point.theta, point.phi)
-    if point.claim_policy is ClaimPolicy.NEAREST:
+    if point.claim_policy is _NEAREST:
         return ProductModel(((1.0, state, _nearest_label(state)),))
-    return ProductModel(((1.0, state, StateLabel(point.claim_policy.value)),))
+    return ProductModel(((1.0, state, _CLAIM_OF_POLICY[point.claim_policy]),))
 
 
 def ensemble_cheat(ensemble: Ensemble, claims: Sequence[StateLabel]) -> ProductModel:
@@ -257,14 +269,17 @@ def ensemble_cheat(ensemble: Ensemble, claims: Sequence[StateLabel]) -> ProductM
     return ProductModel(members)
 
 
+_STANDARD_ATTACK_STATE = TwoQubitPure((1.0 / math.sqrt(2.0), 0.0, 0.5, 0.5))
+
+
 def standard_attack_state() -> TwoQubitPure:
     """(|0>_A |0>_B + |1>_A |+>_B)/sqrt(2): the built-in entangled resource.
 
     Measuring A in the z basis steers Bob's qubit to |0> or |+> with equal
-    probability, so Bob's reduced state matches honest play exactly.
+    probability, so Bob's reduced state matches honest play exactly.  Every
+    call returns the same immutable state.
     """
-    s = 1.0 / math.sqrt(2.0)
-    return TwoQubitPure((s, 0.0, 0.5, 0.5))
+    return _STANDARD_ATTACK_STATE
 
 
 def entangled_cheat(
@@ -281,7 +296,7 @@ def entangled_cheat(
     `state` may be supplied for exploration.
     """
     policy = dict(basis_policy)
-    missing = [lab for lab in StateLabel if lab not in policy]
+    missing = [lab for lab in _LABELS if lab not in policy]
     if missing:
         raise ValueError(f"basis policy must cover every guess, missing {missing}")
     extra = [key for key in policy if not isinstance(key, StateLabel)]
@@ -293,14 +308,14 @@ def entangled_cheat(
                 f"basis for guess {lab.value} must be a MeasurementBasis, got {basis!r}"
             )
     table = dict(DEFAULT_OUTCOME_LABELS if label_by_outcome is None else label_by_outcome)
-    if any(o not in table for o in Outcome):
+    if any(o not in table for o in _OUTCOMES):
         raise ValueError("outcome table must cover both outcomes")
     extra = [key for key in table if not isinstance(key, Outcome)]
     if extra:
         raise ValueError(f"outcome table keys must be Outcomes, got {extra}")
-    for o in Outcome:
-        _check_label(table[o], f"label for outcome {o.value}")
-    state = standard_attack_state() if state is None else state
+    _check_label(table[_OUTCOME_PLUS], "label for outcome plus")
+    _check_label(table[_OUTCOME_MINUS], "label for outcome minus")
+    state = _STANDARD_ATTACK_STATE if state is None else state
     if not isinstance(state, TwoQubitPure):
         raise ValueError(f"state must be a TwoQubitPure, got {state!r}")
     return EntangledModel(state, policy, table)

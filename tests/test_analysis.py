@@ -59,7 +59,11 @@ BAD_CLOSED_FORM_ARGS = [
       for r in (0.0, 1.0, 1.5, math.nan)),
     *((0.3, 0.1, pen, f"penalty must be positive and finite, got {pen}")
       for pen in (0.0, -1.0, math.nan, math.inf)),
-    *((t, 0.1, 100.0, f"theta must be finite, got {t}") for t in (math.nan, math.inf)),
+    *((t, 0.1, 100.0, f"theta must be finite, got {t}")
+      for t in (math.nan, math.inf, -math.inf)),
+    # Several bad arguments: theta's fault is named first, then the rate's.
+    (math.nan, 1.5, -1.0, "theta must be finite, got nan"),
+    (0.3, math.nan, math.inf, "check_rate must lie in (0, 1), got nan"),
 ]
 
 

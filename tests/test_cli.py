@@ -327,6 +327,54 @@ class TestEntangleCommand:
         )
         assert rows["constant_x_gain_negative"]["value"] < 0.0
 
+    @pytest.mark.parametrize(
+        "args",
+        [("entangle", "-R", "100", "-r", "0.05"), ("verify", "-r", "0.05", "-R", "100")],
+        ids=["entangle", "verify"],
+    )
+    def test_winning_constant_x_is_not_held_to_a_loss(self, args):
+        # r*R = 5 lies below (1+sqrt 2)(4-r) = 9.54: the constant-x attack
+        # earns +1.134 per round here, and no row may claim it loses.
+        result = run_cli(*args)
+        assert result.exit_code == 0, result.output
+        rows = {r["name"]: r for r in json.loads(result.output)["rows"]}
+        assert "constant_x_gain_negative" not in rows
+        if args[0] == "entangle":
+            x_gain = rows["policy_gain[zero->x,plus->x]"]["value"]
+            assert x_gain == pytest.approx(1.1340358928434298, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "args, x_gain",
+        [(("-R", "100", "-r", "0.1"), -0.14614177668623324), (("-R", "50", "-r", "0.3"), None)],
+        ids=["R100", "R50"],
+    )
+    def test_losing_constant_x_is_checked(self, args, x_gain):
+        result = run_cli("entangle", *args)
+        assert result.exit_code == 0, result.output
+        rows = {r["name"]: r for r in json.loads(result.output)["rows"]}
+        row = rows["constant_x_gain_negative"]
+        assert row["passed"] and row["value"] < 0.0
+        assert row["value"] == rows["policy_gain[zero->x,plus->x]"]["value"]
+        if x_gain is not None:
+            assert row["value"] == pytest.approx(x_gain, abs=1e-12)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
+    def test_constant_x_row_exactly_where_the_attack_loses(self, noise):
+        # The noiseless gain (1-r)(1+sqrt 2) + r(3(1+sqrt 2)/4 - R/4) is
+        # negative exactly when r*R > (1+sqrt 2)(4-r); noise only adds
+        # check fails, so the row passes wherever it appears.
+        from qgamble import cli as cli_mod
+        from qgamble.protocol import ProtocolParams
+
+        a = 1.0 + math.sqrt(2.0)
+        for rate in (0.01, 0.05, 0.1, 0.3, 0.6, 0.9):
+            for penalty in (5.0, 20.0, 50.0, 100.0, 1000.0):
+                params = ProtocolParams(rate, penalty, noise=noise)
+                rows = {r["name"]: r for r in cli_mod._entanglement_checks(params)}
+                hand = (1.0 - rate) * a + rate * (0.75 * a - 0.25 * penalty)
+                assert ("constant_x_gain_negative" in rows) == (hand < 0.0), params
+                assert all(r["passed"] for r in rows.values()), params
+
 
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_override(self, tmp_path):

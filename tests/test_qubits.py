@@ -1,11 +1,14 @@
 """Tests for the pure-state machinery, from frozen values and independent oracles."""
 
+import cmath
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bases,
@@ -58,6 +61,87 @@ def attack_pair() -> TwoQubitPure:
     return TwoQubitPure((1.0 / SQ2, 0.0, 0.5, 0.5))
 
 
+# A reference copy of the phase convention, kept apart from qubits: every
+# amplitude is divided by the phase of the first one above 1e-9 (else the
+# last).  The constructors' stored amplitudes must match it bit for bit.
+_PHASE_CUTOFF = 1e-9
+
+
+def _reference_qubit(a0, a1) -> tuple[complex, complex]:
+    a0, a1 = complex(a0), complex(a1)
+    m0, m1 = abs(a0), abs(a1)
+    mag = m0 if m0 > _PHASE_CUTOFF else m1
+    if mag != 0.0:
+        phase = (a0 if m0 > _PHASE_CUTOFF else a1) / mag
+        a0, a1 = a0 / phase, a1 / phase
+    return a0, a1
+
+
+def _reference_pair(amps) -> tuple[complex, ...]:
+    amps = tuple(complex(a) for a in amps)
+    mags = [abs(a) for a in amps]
+    ref = next((i for i in range(3) if mags[i] > _PHASE_CUTOFF), 3)
+    if mags[ref] != 0.0:
+        phase = amps[ref] / mags[ref]
+        amps = tuple(a / phase for a in amps)
+    return amps
+
+
+def _bits(amps) -> list[tuple[str, str]]:
+    """Amplitudes as exact hex pairs, so signed zeros count."""
+    if isinstance(amps, PureQubit):
+        amps = (amps.amp0, amps.amp1)
+    elif isinstance(amps, TwoQubitPure):
+        amps = amps.amps
+    return [(a.real.hex(), a.imag.hex()) for a in amps]
+
+
+_phases = st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t))
+
+
+def _weight_fault(index: int, weight: float) -> str:
+    return rf"^ensemble weight {index} must be nonnegative and finite, got {weight!r}$"
+
+
+#: Non-finite amplitudes, each of which must be named as such in any slot.
+NONFINITE = [math.nan, math.inf, -math.inf, complex(0.6, math.nan), complex(-math.inf, 0.8)]
+NONFINITE_IDS = ["nan", "inf", "-inf", "nan_imag", "-inf_real"]
+
+
+def _with(amps: tuple, slot: int, value) -> tuple:
+    return amps[:slot] + (value,) + amps[slot + 1:]
+
+
+def _state_faults():
+    """(constructor, arguments, message) for every rejected state shape."""
+    finite = "^amplitudes must be finite$"
+    for bad, name in zip(NONFINITE, NONFINITE_IDS):
+        for slot in range(2):
+            yield pytest.param(PureQubit, _with((0.6, 0.8), slot, bad), finite,
+                               id=f"qubit-{slot}-{name}")
+            # Named as non-finite even when no other amplitude is nonzero.
+            yield pytest.param(PureQubit, _with((0.0, 0.0), slot, bad), finite,
+                               id=f"qubit-{slot}-{name}-alone")
+        for slot in range(4):
+            yield pytest.param(TwoQubitPure, (_with((0.5, 0.5, 0.5, 0.5), slot, bad),), finite,
+                               id=f"pair-{slot}-{name}")
+            yield pytest.param(TwoQubitPure, (_with((0.0, 0.0, 0.0, 0.0), slot, bad),), finite,
+                               id=f"pair-{slot}-{name}-alone")
+    for cls, amps, norm_sq, name in (
+        (PureQubit, (1.0, 1.0), 2.0, "qubit-over"),
+        (PureQubit, (0.0, 0.0), 0.0, "qubit-zero"),
+        # Just past the 1e-12 tolerance.
+        (PureQubit, (0.6, 0.8j + 1e-6), 1.000000000001, "qubit-edge"),
+        (TwoQubitPure, ((1.0, 1.0, 0.0, 0.0),), 2.0, "pair-over"),
+        (TwoQubitPure, ((0.0, 0.0, 0.0, 0.0),), 0.0, "pair-zero"),
+        (TwoQubitPure, ((0.5, 0.5, 0.5, 0.5j + 1e-6),), 1.000000000001, "pair-edge"),
+    ):
+        message = rf"^state not normalized: \|amps\|\^2 = {re.escape(repr(norm_sq))}$"
+        yield pytest.param(cls, amps, message, id=name)
+    yield pytest.param(TwoQubitPure, ((1.0, 0.0, 0.0),),
+                       "^two-qubit state needs exactly 4 amplitudes$", id="pair-three")
+
+
 class TestConstruction:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -66,6 +150,23 @@ class TestConstruction:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             PureQubit(complex(math.nan, 0.0), 0.0)
+
+    @pytest.mark.parametrize("cls, args, message", _state_faults())
+    def test_state_constructors_name_the_fault(self, cls, args, message):
+        with pytest.raises(ValueError, match=message):
+            cls(*args)
+
+    @given(pure_qubits(), _phases)
+    @settings(derandomize=True, max_examples=200)
+    def test_stored_amplitudes_match_reference(self, state, phase):
+        for raw in ((state.amp0, state.amp1), (state.amp0 * phase, state.amp1 * phase)):
+            assert _bits(PureQubit(*raw)) == _bits(_reference_qubit(*raw))
+
+    @given(two_qubit_states(), _phases)
+    @settings(derandomize=True, max_examples=200)
+    def test_two_qubit_stored_amplitudes_match_reference(self, state, phase):
+        for raw in (state.amps, tuple(a * phase for a in state.amps)):
+            assert _bits(TwoQubitPure(raw)) == _bits(_reference_pair(raw))
 
     def test_global_phase_convention(self):
         s = PureQubit(0.6j, 0.8)
@@ -133,9 +234,45 @@ class TestConstruction:
             ((1.0, math.nan), 1),
             ((math.inf, 0.0), 0),
             ((0.5, -math.inf), 1),
+            ((-0.5, 1.5), 0),
+            ((1.5, -0.5), 1),
+            ((2.0, -1.0), 1),
         ):
-            with pytest.raises(ValueError, match=f"weight {index} must be nonnegative and finite"):
+            message = _weight_fault(index, (w0, w1)[index])
+            with pytest.raises(ValueError, match=message):
                 Ensemble(((w0, KET_0), (w1, KET_PLUS)))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param((), "^ensemble must not be empty$", id="empty"),
+            pytest.param(((0.7, KET_0), (0.7, KET_PLUS)),
+                         "^ensemble weights must sum to 1, got 1.4$", id="sum-over"),
+            pytest.param(((0.25, KET_0),),
+                         "^ensemble weights must sum to 1, got 0.25$", id="sum-under"),
+            # The first fault wins: the lowest index first, at one index the
+            # weight before the entry, and any entry's fault before the sum.
+            pytest.param(((math.nan, "psi"), (-1.0, None)), _weight_fault(0, math.nan),
+                         id="weight-before-entry"),
+            pytest.param(((0.5, "psi"), (-1.0, KET_0)),
+                         "^ensemble entry 0 must hold a PureQubit, got 'psi'$",
+                         id="entry-before-later-weight"),
+            pytest.param(((0.7, KET_0), (0.7, "psi")),
+                         "^ensemble entry 1 must hold a PureQubit, got 'psi'$",
+                         id="entry-before-sum"),
+            pytest.param(((0.7, KET_0), (math.inf, KET_PLUS), (0.7, None)),
+                         _weight_fault(1, math.inf), id="weight-before-sum"),
+        ],
+    )
+    def test_ensemble_names_the_first_fault(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            Ensemble(entries)
+
+    def test_ensemble_stores_float_weights(self):
+        # A -0.0 weight passes (0.0 <= -0.0), and int weights become floats.
+        ens = Ensemble(((1, KET_0), (-0.0, KET_PLUS)))
+        assert ens.entries == ((1.0, KET_0), (-0.0, KET_PLUS))
+        assert [type(w) for w, _ in ens.entries] == [float, float]
 
     @pytest.mark.parametrize("bad", ["psi", None], ids=["str", "none"])
     def test_ensemble_entries_must_be_pure_qubits(self, bad):

@@ -251,6 +251,9 @@ class TestEntangledCheat:
         assert abs(s.amp(0, 1)) < 1e-12
         assert abs(s.amp(1, 0) - 0.5) < 1e-12
         assert abs(s.amp(1, 1) - 0.5) < 1e-12
+        # One shared immutable state, which the default attack plays too.
+        assert standard_attack_state() is s
+        assert entangled_cheat({lab: BASIS_Z for lab in StateLabel}).state is s
 
     def test_constant_z_reduces_to_honest(self):
         z_attack = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
