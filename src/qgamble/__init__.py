@@ -36,7 +36,6 @@ from .qubits import (
     apply_pauli,
     bloch_from_state,
     ensemble_average_bloch,
-    measure,
     overlap,
     reduced_bloch,
     state_from_bloch,

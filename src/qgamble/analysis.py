@@ -29,8 +29,15 @@ from .protocol import (
     RoundType,
     SessionStats,
     StateLabel,
+    _CHECK,
+    _FAIL,
     _FAIL_AXIS,
     _GUESS_ZERO_AXIS,
+    _NORMAL,
+    _NOT_APPLICABLE,
+    _PASS,
+    _PLUS,
+    _ZERO,
     _born,
     _check_label,
     _check_penalty,
@@ -44,7 +51,7 @@ from .qubits import (
     OPTIMAL_GUESS_PROB,
     PAULI_AXES,
     PureQubit,
-    Subsystem,
+    _B,
     _COS8,
     _SIN8,
     _amps_after,
@@ -83,15 +90,6 @@ __all__ = [
     "entangled_policy_gains",
     "exact_tolerance",
 ]
-
-# Per-branch code reads enum members through these names: on Python 3.11,
-# reading a member off its Enum class costs about 0.1 us.
-_ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
-_NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
-_PASS, _FAIL = CheckResult.PASS, CheckResult.FAIL
-_NOT_APPLICABLE = CheckResult.NOT_APPLICABLE
-_B = Subsystem.B
-
 
 class ProtocolConstants(NamedTuple):
     """The three numbers the whole analysis runs on."""

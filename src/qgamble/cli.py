@@ -101,6 +101,15 @@ def _csv_cell(value) -> str:
     return text
 
 
+def _csv_text(header: list[str], rows: list[dict]) -> str:
+    """One header line, then one line per row; a key a row lacks is an
+    empty cell."""
+    lines = [",".join(header)]
+    for r in rows:
+        lines.append(",".join(_csv_cell(r.get(k)) for k in header))
+    return "\n".join(lines) + "\n"
+
+
 def serialize(doc: ResultDocument, fmt: str) -> bytes:
     """Render a result document; identical documents serialize identically."""
     if fmt == "json":
@@ -120,10 +129,7 @@ def serialize(doc: ResultDocument, fmt: str) -> bytes:
         keys = {k for r in rows for k in r}
         header = [c for c in _PREFERRED_COLUMNS if c in keys]
         header += sorted(keys - set(header))
-        lines = [",".join(header)]
-        for r in rows:
-            lines.append(",".join(_csv_cell(r.get(k)) for k in header))
-        return ("\n".join(lines) + "\n").encode()
+        return _csv_text(header, rows).encode()
     raise ValueError(f"unknown output format {fmt!r}")
 
 
@@ -458,10 +464,7 @@ def _write_transcript(path, fmt, alice, bob, params, rounds, rng) -> None:
         Path(path).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         return
     header = ["round_type", "bob_guess", "alice_claim", "check_result", "transfer"]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(_csv_cell(r[k]) for k in header))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_csv_text(header, rows))
 
 
 @_command("seed", "rounds", "check_rate", "penalty", "noise", "theta", "phi", "claim")

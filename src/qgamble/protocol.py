@@ -23,7 +23,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +41,11 @@ from .qubits import (
     PureQubit,
     Subsystem,
     TwoQubitPure,
+    _A,
+    _B,
+    _IdentityEnum,
+    _OUTCOME_MINUS,
+    _OUTCOME_PLUS,
     _bloch_xyz,
     _split,
     apply_pauli,
@@ -75,15 +79,11 @@ DEFAULT_LOSS_PAYOUT = OPTIMAL_GUESS_PROB / (1.0 - OPTIMAL_GUESS_PROB)
 MIN_CHECKS_FOR_ABORT = 100
 
 
-class StateLabel(Enum):
+class StateLabel(_IdentityEnum):
     """Identity of a legal protocol state: |0> or |+>."""
 
     ZERO = "zero"
     PLUS = "plus"
-
-    # Members compare by identity, so they hash by it too: Enum.__hash__
-    # hashes the member's name in Python.
-    __hash__ = object.__hash__
 
     @property
     def state(self) -> PureQubit:
@@ -95,30 +95,25 @@ class StateLabel(Enum):
         return BASIS_Z if self is StateLabel.ZERO else BASIS_X
 
 
-class RoundType(Enum):
+_ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
+
+
+class RoundType(_IdentityEnum):
     NORMAL = "normal"
     CHECK = "check"
 
-    __hash__ = object.__hash__
+
+_NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
 
 
-class CheckResult(Enum):
+class CheckResult(_IdentityEnum):
     PASS = "pass"
     FAIL = "fail"
     NOT_APPLICABLE = "not_applicable"
 
-    __hash__ = object.__hash__
 
-
-# The round path reads enum members through these names: on Python 3.11,
-# reading a member off its Enum class costs about 0.1 us, several times
-# per round.
-_A, _B = Subsystem.A, Subsystem.B
-_NORMAL, _CHECK = RoundType.NORMAL, RoundType.CHECK
 _PASS, _FAIL = CheckResult.PASS, CheckResult.FAIL
 _NOT_APPLICABLE = CheckResult.NOT_APPLICABLE
-_PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
-_LABEL_ZERO, _LABEL_PLUS = StateLabel.ZERO, StateLabel.PLUS
 
 
 class ProtocolViolation(RuntimeError):
@@ -332,9 +327,9 @@ class SubsystemView:
                 splits.clear()
             entry = splits[key] = (*_split(state, own, basis), state, basis)
         if self._draw() < entry[0]:
-            outcome, register._state = _PLUS, entry[1]
+            outcome, register._state = _OUTCOME_PLUS, entry[1]
         else:
-            outcome, register._state = _MINUS, entry[2]
+            outcome, register._state = _OUTCOME_MINUS, entry[2]
         if entangled:
             register._pure_holder = _B if is_a else _A
         if is_a:
@@ -495,12 +490,12 @@ def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats
             register.apply_noise(noise, rng)
         is_check = draw() < check_rate
         guess = play(bob_view, is_check, bob_rng)
-        if guess is not _LABEL_ZERO and guess is not _LABEL_PLUS:
+        if guess is not _ZERO and guess is not _PLUS:
             raise ProtocolViolation(f"bob guessed {guess!r}, which is not a StateLabel")
         claim = claim_of(prep.memo, alice_view, guess, alice_rng)
-        if claim is _LABEL_ZERO:
+        if claim is _ZERO:
             basis = BASIS_Z
-        elif claim is _LABEL_PLUS:
+        elif claim is _PLUS:
             basis = BASIS_X
         else:
             raise ProtocolViolation(f"alice claimed {claim!r}, which is not a StateLabel")
@@ -510,7 +505,7 @@ def _run_rounds(alice, bob, params, n_rounds, streams, on_round) -> SessionStats
             # nothing Bob returns or defines can decide the verdict.  If he
             # measured the qubit before the claim, the view raises.
             checks += 1
-            if bob_view.measure(basis) is _MINUS:
+            if bob_view.measure(basis) is _OUTCOME_MINUS:
                 fails += 1
                 round_type, result, transfer = _CHECK, _FAIL, on_fail
             else:
@@ -603,7 +598,7 @@ def _class_probabilities(
     for claim, (t, x, y, z) in sigma.items():
         x, y, z = shrink * x, shrink * y, shrink * z
         p_zero = _born(_GUESS_ZERO_AXIS, t, x, y, z)
-        win += p_zero if claim is _LABEL_ZERO else t - p_zero
+        win += p_zero if claim is _ZERO else t - p_zero
         fail += _born(_FAIL_AXIS[claim], t, x, y, z)
     # Rounding can carry either sum an ulp outside [0, 1].
     return min(max(win, 0.0), 1.0), min(max(fail, 0.0), 1.0)

@@ -2,9 +2,10 @@
 
 Everything the protocol needs from quantum mechanics lives here: pure
 states as pairs (or quadruples) of complex amplitudes, Bloch-vector
-conversions, projective measurement with Born-rule sampling, exact
-subsystem projection of two-qubit states, and ensemble averages of Bloch
-vectors.
+conversions, measurement bases, exact Born probabilities and post-states
+of projective measurements (a lone qubit or one subsystem of a pair),
+Pauli actions, and ensemble averages of Bloch vectors.  Nothing here
+samples: the engine's one Born draw is `protocol.SubsystemView.measure`.
 
 States are immutable values.  A global-phase convention (the amplitude of
 largest-index-zero basis state is real and nonnegative) makes states from
@@ -36,7 +37,6 @@ __all__ = [
     "bloch_angles",
     "overlap",
     "orthogonal_state",
-    "measure",
     "project_subsystem",
     "reduced_bloch",
     "ensemble_average_bloch",
@@ -72,29 +72,37 @@ PauliAxis = Literal["x", "y", "z"]
 PAULI_AXES: tuple[PauliAxis, ...] = ("x", "y", "z")
 
 
-class Outcome(Enum):
-    """Which projector of a two-outcome measurement fired."""
+class _IdentityEnum(Enum):
+    """Base of the package's enums.
 
-    PLUS = "plus"
-    MINUS = "minus"
+    Each enum's members are also bound to private module names beside it
+    (`_A`, `_ZERO`, `_NORMAL`, ...), which the per-round and per-branch
+    code of every module reads: on Python 3.11, reading a member off its
+    Enum class costs about 0.1 us.
+    """
 
     # Members compare by identity, so they hash by it too: Enum.__hash__
     # hashes the member's name in Python.
     __hash__ = object.__hash__
 
 
-class Subsystem(Enum):
+class Outcome(_IdentityEnum):
+    """Which projector of a two-outcome measurement fired."""
+
+    PLUS = "plus"
+    MINUS = "minus"
+
+
+_OUTCOME_PLUS, _OUTCOME_MINUS = Outcome.PLUS, Outcome.MINUS
+
+
+class Subsystem(_IdentityEnum):
     """Tensor-factor labels of a two-qubit state: A is kept, B is sent."""
 
     A = "A"
     B = "B"
 
-    __hash__ = object.__hash__
 
-
-# Per-measurement code reads enum members through these names: on Python
-# 3.11, reading a member off its Enum class costs about 0.1 us.
-_PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
 _A, _B = Subsystem.A, Subsystem.B
 
 
@@ -118,8 +126,13 @@ class PureQubit:
 
     def __init__(self, amp0: complex, amp1: complex):
         a0, a1 = complex(amp0), complex(amp1)
-        m0, m1 = abs(a0), abs(a1)
-        norm_sq = m0**2 + m1**2
+        try:
+            m0, m1 = abs(a0), abs(a1)
+            norm_sq = m0**2 + m1**2
+        except OverflowError:
+            # An amplitude past about 1.3e154 in magnitude: the norm is
+            # infinite, which the test below rejects before m0 is read.
+            norm_sq = math.inf
         # One comparison, false on a NaN or infinite amplitude too; the
         # finiteness test only picks the message.
         if not abs(norm_sq - 1.0) <= ATOL_STATE:
@@ -193,7 +206,7 @@ class MeasurementBasis:
             raise ValueError(f"basis states are not orthogonal: {self.label!r}")
 
     def state_of(self, outcome: Outcome) -> PureQubit:
-        return self.plus if outcome is Outcome.PLUS else self.minus
+        return self.plus if outcome is _OUTCOME_PLUS else self.minus
 
 
 def _two_qubit_amps(amps) -> tuple[complex, complex, complex, complex]:
@@ -204,8 +217,11 @@ def _two_qubit_amps(amps) -> tuple[complex, complex, complex, complex]:
         raise ValueError("two-qubit state needs exactly 4 amplitudes")
     a0, a1 = complex(amps[0]), complex(amps[1])
     a2, a3 = complex(amps[2]), complex(amps[3])
-    m0, m1, m2, m3 = abs(a0), abs(a1), abs(a2), abs(a3)
-    norm_sq = m0**2 + m1**2 + m2**2 + m3**2
+    try:
+        m0, m1, m2, m3 = abs(a0), abs(a1), abs(a2), abs(a3)
+        norm_sq = m0**2 + m1**2 + m2**2 + m3**2
+    except OverflowError:
+        norm_sq = math.inf  # as in PureQubit
     if not abs(norm_sq - 1.0) <= ATOL_STATE:
         if not (
             cmath.isfinite(a0) and cmath.isfinite(a1)
@@ -397,13 +413,6 @@ def _split(
         (p_plus, after_plus), (_, after_minus) = project_subsystem(state, which, basis)
         return p_plus, after_plus, after_minus
     return overlap(basis.plus, state), basis.plus, basis.minus
-
-
-def measure(state: PureQubit, basis: MeasurementBasis, rng) -> tuple[Outcome, PureQubit]:
-    """Born-rule sample of a projective measurement; post-state is the basis state."""
-    if rng.random() < overlap(basis.plus, state):
-        return _PLUS, basis.plus
-    return _MINUS, basis.minus
 
 
 def reduced_bloch(state: TwoQubitPure, which: Subsystem) -> BlochVector:

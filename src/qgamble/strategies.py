@@ -9,6 +9,9 @@ exactly; strategies without a finite description raise
 NonEnumerableStrategyError there.  A built-in Alice is her own branch
 model, a `ProductModel` or an `EntangledModel`: one object is played by
 the engine, enumerated by the oracle and sampled by the fast sampler.
+A model holds its policy once, in the form its rounds and the oracle read
+it: a `ProductModel` its (weight, state, claim) members, an
+`EntangledModel` its state and the basis and claim of each branch.
 """
 
 from __future__ import annotations
@@ -17,24 +20,29 @@ import abc
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
-from .protocol import StateLabel, SubsystemView, _check_label, _check_rate
+from .protocol import (
+    StateLabel,
+    SubsystemView,
+    _PLUS,
+    _ZERO,
+    _check_label,
+    _check_rate,
+)
 from .qubits import (
     BASIS_DISCRIM,
     KET_0,
     KET_PLUS,
-    BlochVector,
     Ensemble,
     MeasurementBasis,
     Outcome,
     PureQubit,
-    Subsystem,
     TwoQubitPure,
-    ensemble_average_bloch,
+    _IdentityEnum,
+    _OUTCOME_MINUS,
+    _OUTCOME_PLUS,
     overlap,
-    reduced_bloch,
     state_from_bloch,
 )
 
@@ -54,29 +62,20 @@ __all__ = [
     "entangled_cheat",
     "standard_attack_state",
     "DEFAULT_OUTCOME_LABELS",
-    "declared_bob_bloch",
 ]
 
 
-# Per-round code reads enum members through these names: on Python 3.11,
-# reading a member off its Enum class costs about 0.1 us, and iterating or
-# calling an Enum class runs Python-level EnumType methods.
-_ZERO, _PLUS = StateLabel.ZERO, StateLabel.PLUS
-_OUTCOME_PLUS, _OUTCOME_MINUS = Outcome.PLUS, Outcome.MINUS
+# Iterating an Enum class runs Python-level EnumType methods.
 _LABELS = (_ZERO, _PLUS)
 _OUTCOMES = (_OUTCOME_PLUS, _OUTCOME_MINUS)
 
 
-class ClaimPolicy(Enum):
+class ClaimPolicy(_IdentityEnum):
     """How a fixed-state cheat picks its claim."""
 
     ZERO = "zero"
     PLUS = "plus"
     NEAREST = "nearest"
-
-    # Members compare by identity, so they hash by it too: Enum.__hash__
-    # hashes the member's name in Python.
-    __hash__ = object.__hash__
 
 
 _NEAREST = ClaimPolicy.NEAREST
@@ -207,10 +206,8 @@ class EntangledModel(AliceStrategy):
         label_by_outcome: dict[Outcome, StateLabel],
     ):
         self.state = state
-        self.basis_by_guess = basis_by_guess
-        self.label_by_outcome = label_by_outcome
-        # Resolved once, so a round and the oracle read one attribute each
-        # instead of a table and a key.
+        # The policy is kept resolved, so a round and the oracle read one
+        # attribute each instead of a table and a key.
         self._basis_if_zero = basis_by_guess[_ZERO]
         self._basis_if_plus = basis_by_guess[_PLUS]
         self._label_if_plus = label_by_outcome[_OUTCOME_PLUS]
@@ -231,8 +228,8 @@ class EntangledModel(AliceStrategy):
 
 
 DEFAULT_OUTCOME_LABELS: dict[Outcome, StateLabel] = {
-    Outcome.PLUS: StateLabel.ZERO,
-    Outcome.MINUS: StateLabel.PLUS,
+    _OUTCOME_PLUS: _ZERO,
+    _OUTCOME_MINUS: _PLUS,
 }
 
 
@@ -319,17 +316,3 @@ def entangled_cheat(
     if not isinstance(state, TwoQubitPure):
         raise ValueError(f"state must be a TwoQubitPure, got {state!r}")
     return EntangledModel(state, policy, table)
-
-
-def declared_bob_bloch(alice: AliceStrategy) -> BlochVector:
-    """Bloch vector of Bob's pre-measurement reduced state under this strategy.
-
-    Independent of everything Alice does after sending; what the no-cloning
-    side of the protocol pins down.
-    """
-    model = alice.branch_model()
-    if isinstance(model, ProductModel):
-        return ensemble_average_bloch(
-            Ensemble(tuple((w, s) for w, s, _ in model.members))
-        )
-    return reduced_bloch(model.state, Subsystem.B)

@@ -382,10 +382,14 @@ def test_10_property_suites():
             if abs(abs(member.amp0) ** 2 + abs(member.amp1) ** 2 - 1.0) > 1e-12:
                 failures.append("normalization")
     rng = session_rng(104)
-    from qgamble.qubits import apply_pauli, measure
+    from qgamble.qubits import apply_pauli
 
     for _ in range(200):
-        _, s = measure(apply_pauli(s, "y"), BASIS_DISCRIM, rng)
+        # One Born draw of the discrimination measurement; the post-state
+        # is the basis state that fired.
+        s = apply_pauli(s, "y")
+        fired_plus = rng.random() < overlap(BASIS_DISCRIM.plus, s)
+        s = BASIS_DISCRIM.plus if fired_plus else BASIS_DISCRIM.minus
         if abs(abs(s.amp0) ** 2 + abs(s.amp1) ** 2 - 1.0) > 1e-12:
             failures.append("normalization chain")
 

@@ -116,6 +116,16 @@ class TestCheatCommand:
         assert rows["monte_carlo_matches_oracle"]["passed"]
         assert rows["oracle_gain_per_round"]["value"] == pytest.approx(0.0757, abs=2e-3)
 
+    @pytest.mark.parametrize("theta, nearest", [("0.3", "zero"), ("1.3", "plus")])
+    def test_default_claim_is_the_nearest_label(self, theta, nearest):
+        args = ("cheat", "--seed", "2", "--rounds", "20000", "-r", "0.05", "-R", "100",
+                "--theta", theta)
+        default, explicit = run_cli(*args), run_cli(*args, "--claim", nearest)
+        assert default.exit_code == explicit.exit_code == 0, default.output
+        rows = json.loads(default.output)["rows"]
+        assert rows[0] == {"section": "metric", "name": "claim_label", "value": nearest}
+        assert rows == json.loads(explicit.output)["rows"]
+
     def test_theta_out_of_range_is_config_error(self):
         result = run_cli("cheat", "--theta", "9")
         assert result.exit_code == 2

@@ -42,7 +42,6 @@ from qgamble.qubits import (
     bloch_angles,
     bloch_from_state,
     ensemble_average_bloch,
-    measure,
     orthogonal_state,
     overlap,
     project_subsystem,
@@ -106,6 +105,9 @@ def _weight_fault(index: int, weight: float) -> str:
 #: Non-finite amplitudes, each of which must be named as such in any slot.
 NONFINITE = [math.nan, math.inf, -math.inf, complex(0.6, math.nan), complex(-math.inf, 0.8)]
 NONFINITE_IDS = ["nan", "inf", "-inf", "nan_imag", "-inf_real"]
+#: Finite amplitudes whose squared magnitude overflows a float.
+HUGE = [1e200, -1e200, 1e200j, complex(1.5e308, 1.5e308)]
+HUGE_IDS = ["huge", "-huge", "huge_imag", "huge_complex"]
 
 
 def _with(amps: tuple, slot: int, value) -> tuple:
@@ -127,6 +129,21 @@ def _state_faults():
                                id=f"pair-{slot}-{name}")
             yield pytest.param(TwoQubitPure, (_with((0.0, 0.0, 0.0, 0.0), slot, bad),), finite,
                                id=f"pair-{slot}-{name}-alone")
+    # A huge amplitude's squared norm overflows to inf, unless a non-finite
+    # amplitude beside it is named first.
+    overflow = r"^state not normalized: \|amps\|\^2 = inf$"
+    for bad, name in zip(HUGE, HUGE_IDS):
+        for slot in range(2):
+            yield pytest.param(PureQubit, _with((0.6, 0.8), slot, bad), overflow,
+                               id=f"qubit-{slot}-{name}")
+            yield pytest.param(PureQubit, _with((math.nan, math.nan), slot, bad), finite,
+                               id=f"qubit-{slot}-{name}-nan")
+        for slot in range(4):
+            yield pytest.param(TwoQubitPure, (_with((0.5, 0.5, 0.5, 0.5), slot, bad),),
+                               overflow, id=f"pair-{slot}-{name}")
+            nan_beside = _with((0.0, 0.0, 0.0, 0.0), (slot + 1) % 4, math.nan)
+            yield pytest.param(TwoQubitPure, (_with(nan_beside, slot, bad),), finite,
+                               id=f"pair-{slot}-{name}-nan")
     for cls, amps, norm_sq, name in (
         (PureQubit, (1.0, 1.0), 2.0, "qubit-over"),
         (PureQubit, (0.0, 0.0), 0.0, "qubit-zero"),
@@ -343,37 +360,6 @@ class TestOverlap:
     @settings(max_examples=100)
     def test_orthogonal_state_is_orthogonal(self, s):
         assert abs(s.inner(orthogonal_state(s))) <= 1e-12
-
-
-class TestMeasure:
-    def test_certain_outcome(self):
-        rng = RNG(0)
-        for _ in range(50):
-            outcome, post = measure(KET_0, BASIS_Z, rng)
-            assert outcome is Outcome.PLUS
-            assert post is BASIS_Z.plus
-
-    def test_post_state_is_basis_state(self):
-        rng = RNG(1)
-        outcome, post = measure(KET_PLUS, BASIS_Z, rng)
-        assert post is BASIS_Z.state_of(outcome)
-
-    def test_unbiased_on_halfway_state(self):
-        rng = RNG(2)
-        n = 40_000
-        plus = sum(measure(KET_PLUS, BASIS_Z, rng)[0] is Outcome.PLUS for _ in range(n))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(plus / n - 0.5) < 5.0 * sigma
-
-    def test_discrimination_frequency(self):
-        rng = RNG(3)
-        n = 40_000
-        hits = sum(
-            measure(KET_0, BASIS_DISCRIM, rng)[0] is Outcome.PLUS for _ in range(n)
-        )
-        p = OPTIMAL_GUESS_PROB
-        sigma = math.sqrt(p * (1.0 - p) / n)
-        assert abs(hits / n - p) < 5.0 * sigma
 
 
 class TestTwoQubit:

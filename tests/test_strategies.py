@@ -23,7 +23,6 @@ from qgamble.qubits import (
     KET_MINUS,
     KET_PLUS,
     OPTIMAL_GUESS_PROB,
-    BlochVector,
     Ensemble,
     Outcome,
     PureQubit,
@@ -32,7 +31,6 @@ from qgamble.qubits import (
     basis_from_bloch_angle,
     overlap,
     project_subsystem,
-    reduced_bloch,
 )
 from qgamble.strategies import (
     CheatPoint,
@@ -42,7 +40,6 @@ from qgamble.strategies import (
     AliceStrategy,
     EntangledModel,
     ProductModel,
-    declared_bob_bloch,
     ensemble_cheat,
     entangled_cheat,
     fixed_state_cheat,
@@ -354,34 +351,6 @@ class TestEntangledCheat:
         params = ProtocolParams(0.3, 100.0)
         stats = run_session(attack, honest_bob(0.3), params, 2_000, session_rng(68))
         assert stats.rounds >= 1
-
-
-class TestDeclaredReducedState:
-    def test_every_builtin_matches_and_is_steering_proof(self):
-        target = BlochVector(0.5, 0.0, 0.5)
-        strategies = [
-            honest_alice(),
-            ensemble_cheat(
-                Ensemble(((0.5, KET_0), (0.5, KET_PLUS))),
-                [StateLabel.ZERO, StateLabel.PLUS],
-            ),
-            entangled_cheat({lab: BASIS_Z for lab in StateLabel}),
-            entangled_cheat({lab: BASIS_X for lab in StateLabel}),
-        ]
-        for strat in strategies:
-            assert declared_bob_bloch(strat).isclose(target, tol=1e-12)
-        # And the fixed cheat declares its own state's vector.
-        cheat = fixed_state_cheat(CheatPoint(0.3, 0.1, ClaimPolicy.NEAREST))
-        v = declared_bob_bloch(cheat)
-        assert v.norm() == pytest.approx(1.0, abs=1e-9)
-
-    def test_entangled_reduced_state_ignores_policy(self):
-        z = entangled_cheat({lab: BASIS_Z for lab in StateLabel})
-        x = entangled_cheat({lab: BASIS_X for lab in StateLabel})
-        assert declared_bob_bloch(z).isclose(declared_bob_bloch(x), tol=0.0)
-        assert declared_bob_bloch(z).isclose(
-            reduced_bloch(standard_attack_state(), Subsystem.B), tol=0.0
-        )
 
 
 class TestEnumerability:
